@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gravity/batch.hpp"
+#include "gravity/evaluate.hpp"
 #include "hot/tree.hpp"
 #include "telemetry/trace.hpp"
 
@@ -34,20 +35,9 @@ AbmForceResult abm_tree_forces(parc::Rank& rank, hot::Bodies& local,
       cfg.mac,
       [&](std::uint32_t leaf_index, const hot::InteractionLists& lists,
           const hot::DistributedTree::RemoteLists& remote) {
-        batch_local.clear();
-        batch_local.use_quad = cfg.mac.quadrupole;
-        batch_local.reserve_bodies(lists.bodies.size());
-        for (std::uint32_t j : lists.bodies)
-          batch_local.add_body(local.pos[j], local.mass[j]);
-        for (std::uint32_t ci : lists.cells)
-          batch_local.add_cell(cells[ci].com, cells[ci].mass, cells[ci].quad);
-        batch_remote.clear();
-        batch_remote.use_quad = cfg.mac.quadrupole;
-        batch_remote.reserve_bodies(remote.bodies.size());
-        for (const hot::SourceRecord& s : remote.bodies)
-          batch_remote.add_body(s.pos, s.mass);
-        for (const hot::CellRecord& c : remote.cells)
-          batch_remote.add_cell(c.com, c.mass, c.quad);
+        gather_interaction_batch(tree, lists, local.pos, local.mass, cfg.mac.quadrupole,
+                                 batch_local);
+        gather_records(remote.bodies, remote.cells, cfg.mac.quadrupole, batch_remote);
 
         const hot::Cell& group = cells[leaf_index];
         for (std::uint32_t t = group.body_begin;

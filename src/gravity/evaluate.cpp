@@ -1,12 +1,9 @@
 #include "gravity/evaluate.hpp"
 
 #include <cassert>
-#include <memory>
 #include <vector>
 
 #include "telemetry/trace.hpp"
-#include "util/scratch_pool.hpp"
-#include "util/task_pool.hpp"
 
 namespace hotlib::gravity {
 
@@ -22,62 +19,43 @@ void gather_interaction_batch(const hot::Tree& tree, const hot::InteractionLists
     batch.add_cell(cells[ci].com, cells[ci].mass, cells[ci].quad);
 }
 
+void gather_records(std::span<const hot::SourceRecord> bodies,
+                    std::span<const hot::CellRecord> cells, bool quadrupole,
+                    InteractionBatch& batch) {
+  batch.clear();
+  batch.use_quad = quadrupole;
+  batch.reserve_bodies(bodies.size());
+  for (const hot::SourceRecord& s : bodies) batch.add_body(s.pos, s.mass);
+  for (const hot::CellRecord& c : cells) batch.add_cell(c.com, c.mass, c.quad);
+}
+
 InteractionTally evaluate_at(const hot::Tree& tree, std::span<const Vec3d> src_pos,
                              std::span<const double> src_mass,
                              const TreeForceConfig& cfg, std::span<const Vec3d> points,
                              std::span<Vec3d> acc, std::span<double> pot) {
   assert(points.size() == acc.size() && points.size() == pot.size());
   telemetry::Span span("evaluate_at", telemetry::Phase::kForceEval, points.size());
-  InteractionTally tally;
   const double eps2 = cfg.softening * cfg.softening;
 
   // One query point start to finish: its walk, gather and kernel order are
   // all functions of (tree, point) alone, and it writes only its own output
   // slot — the same determinism contract as a tree_forces sink group.
-  const auto do_point = [&](std::size_t qi, hot::InteractionLists& lists,
-                            InteractionBatch& batch, InteractionTally& t) {
-    hot::build_point_interaction_lists(tree, points[qi], cfg.mac, lists, t);
-    gather_interaction_batch(tree, lists, src_pos, src_mass, cfg.mac.quadrupole, batch);
-    Vec3d a{};
-    double p = 0;
-    batch_pp(batch, points[qi], eps2, kNoSelf, a, p);
-    batch_pc(batch, points[qi], eps2, a, p);
-    acc[qi] = cfg.G * a;
-    pot[qi] = cfg.G * p;
-    t.body_body += lists.bodies.size();
-    t.body_cell += lists.cells.size();
-  };
-
-  util::TaskPool& pool = util::TaskPool::global();
-  if (pool.concurrency() == 1 || points.size() < 2) {
-    hot::InteractionLists lists;
-    InteractionBatch batch;
-    for (std::size_t qi = 0; qi < points.size(); ++qi) do_point(qi, lists, batch, tally);
-  } else {
-    struct Scratch {
-      hot::InteractionLists lists;
-      InteractionBatch batch;
-      InteractionTally tally;
-    };
-    // Partial tallies are summed after the join; uint64 sums are associative
-    // so steal order cannot change the total.
-    util::ScratchPool<Scratch> scratch;
-    const std::size_t grain = std::max<std::size_t>(
-        1, points.size() / (static_cast<std::size_t>(pool.concurrency()) * 8));
-    // Hand the ambient trace context across the thread boundary explicitly
-    // (the task pool is telemetry-free by design): worker chunk spans then
-    // nest under this call's span in the request's distributed trace.
-    const telemetry::TraceContext tc = telemetry::trace_slot();
-    pool.parallel_for(points.size(), grain, [&](std::size_t lo, std::size_t hi) {
-      telemetry::ensure_worker(util::TaskPool::current_worker());
-      telemetry::TraceContextScope trace_scope(tc);
-      telemetry::Span walk("query_walk", telemetry::Phase::kOther, hi - lo);
-      std::unique_ptr<Scratch> s = scratch.acquire();
-      for (std::size_t qi = lo; qi < hi; ++qi) do_point(qi, s->lists, s->batch, s->tally);
-      scratch.release(std::move(s));
-    });
-    scratch.for_each([&](Scratch& s) { tally += s.tally; });
-  }
+  const InteractionTally tally = hot::for_each_sink<InteractionBatch>(
+      points.size(), "query_walk",
+      [&](std::size_t qi, hot::InteractionLists& lists, InteractionBatch& batch,
+          InteractionTally& t) {
+        hot::build_point_interaction_lists(tree, points[qi], cfg.mac, lists, t);
+        gather_interaction_batch(tree, lists, src_pos, src_mass, cfg.mac.quadrupole,
+                                 batch);
+        Vec3d a{};
+        double p = 0;
+        batch_pp(batch, points[qi], eps2, kNoSelf, a, p);
+        batch_pc(batch, points[qi], eps2, a, p);
+        acc[qi] = cfg.G * a;
+        pot[qi] = cfg.G * p;
+        t.body_body += lists.bodies.size();
+        t.body_cell += lists.cells.size();
+      });
   telemetry::count_tally(tally);
   return tally;
 }

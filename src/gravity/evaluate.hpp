@@ -44,6 +44,12 @@ void gather_interaction_batch(const hot::Tree& tree, const hot::InteractionLists
                               std::span<const Vec3d> pos, std::span<const double> mass,
                               bool quadrupole, InteractionBatch& batch);
 
+// The same gather for shipped records (a LET import, or the remote half of
+// an ABM sink group's lists): bodies in order, then the cells.
+void gather_records(std::span<const hot::SourceRecord> bodies,
+                    std::span<const hot::CellRecord> cells, bool quadrupole,
+                    InteractionBatch& batch);
+
 // Evaluate acceleration and potential at every position of `points` from the
 // sources of `tree` (`src_pos`/`src_mass` in the original indexing the tree
 // was built from). One point walk per query; parallelized over points on the

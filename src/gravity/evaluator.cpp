@@ -1,12 +1,10 @@
 #include "gravity/evaluator.hpp"
 
 #include <cassert>
-#include <memory>
 
 #include "gravity/batch.hpp"
 #include "gravity/evaluate.hpp"
 #include "telemetry/trace.hpp"
-#include "util/scratch_pool.hpp"
 #include "util/task_pool.hpp"
 
 namespace hotlib::gravity {
@@ -17,7 +15,6 @@ InteractionTally tree_forces(const hot::Tree& tree, std::span<const Vec3d> pos,
                              std::span<double> work) {
   assert(pos.size() == acc.size() && pos.size() == pot.size());
   telemetry::Span span("tree_forces", telemetry::Phase::kForceEval, pos.size());
-  InteractionTally tally;
   const double eps2 = cfg.softening * cfg.softening;
   const auto& cells = tree.cells();
   const std::vector<std::uint32_t> leaves = hot::leaf_indices(tree);
@@ -26,58 +23,33 @@ InteractionTally tree_forces(const hot::Tree& tree, std::span<const Vec3d> pos,
   // kernel order are all fixed by the group, and every output this writes
   // (acc/pot/work of the group's members) is disjoint from every other
   // group's — the unit of work the determinism contract is built on.
-  const auto do_group = [&](std::uint32_t li, hot::InteractionLists& lists,
-                            InteractionBatch& batch, InteractionTally& t) {
-    hot::build_interaction_lists(tree, li, cfg.mac, lists, t);
-    gather_interaction_batch(tree, lists, pos, mass, cfg.mac.quadrupole, batch);
-    const hot::Cell& group = cells[li];
-    for (std::uint32_t s = group.body_begin; s < group.body_begin + group.body_count;
-         ++s) {
-      const std::uint32_t i = tree.order()[s];
-      Vec3d a{};
-      double p = 0;
-      // The group's own members occupy contiguous slots in tree order.
-      const std::size_t self = lists.self_begin + (s - group.body_begin);
-      batch_pp(batch, pos[i], eps2, self, a, p);
-      batch_pc(batch, pos[i], eps2, a, p);
+  const InteractionTally tally = hot::for_each_sink<InteractionBatch>(
+      leaves.size(), "force_walk",
+      [&](std::size_t g, hot::InteractionLists& lists, InteractionBatch& batch,
+          InteractionTally& t) {
+        const std::uint32_t li = leaves[g];
+        hot::build_interaction_lists(tree, li, cfg.mac, lists, t);
+        gather_interaction_batch(tree, lists, pos, mass, cfg.mac.quadrupole, batch);
+        const hot::Cell& group = cells[li];
+        for (std::uint32_t s = group.body_begin;
+             s < group.body_begin + group.body_count; ++s) {
+          const std::uint32_t i = tree.order()[s];
+          Vec3d a{};
+          double p = 0;
+          // The group's own members occupy contiguous slots in tree order.
+          const std::size_t self = lists.self_begin + (s - group.body_begin);
+          batch_pp(batch, pos[i], eps2, self, a, p);
+          batch_pc(batch, pos[i], eps2, a, p);
 
-      acc[i] += cfg.G * a;
-      pot[i] += cfg.G * p;
-      const std::uint64_t count =
-          lists.bodies.size() - 1 + lists.cells.size();  // self term skipped
-      t.body_body += lists.bodies.size() - 1;
-      t.body_cell += lists.cells.size();
-      if (!work.empty()) work[i] = static_cast<double>(count);
-    }
-  };
-
-  util::TaskPool& pool = util::TaskPool::global();
-  if (pool.concurrency() == 1 || leaves.size() < 2) {
-    hot::InteractionLists lists;
-    InteractionBatch batch;
-    for (std::uint32_t li : leaves) do_group(li, lists, batch, tally);
-  } else {
-    struct Scratch {
-      hot::InteractionLists lists;
-      InteractionBatch batch;
-      InteractionTally tally;
-    };
-    // Partial tallies are summed by the caller after the join — uint64 sums
-    // are associative, so the accumulation order (which varies with steal
-    // order) cannot change the total.
-    util::ScratchPool<Scratch> scratch;
-    const std::size_t grain =
-        std::max<std::size_t>(1, leaves.size() / (static_cast<std::size_t>(pool.concurrency()) * 8));
-    pool.parallel_for(leaves.size(), grain, [&](std::size_t lo, std::size_t hi) {
-      telemetry::ensure_worker(util::TaskPool::current_worker());
-      telemetry::Span walk("force_walk", telemetry::Phase::kOther, hi - lo);
-      std::unique_ptr<Scratch> s = scratch.acquire();
-      for (std::size_t g = lo; g < hi; ++g)
-        do_group(leaves[g], s->lists, s->batch, s->tally);
-      scratch.release(std::move(s));
-    });
-    scratch.for_each([&](Scratch& s) { tally += s.tally; });
-  }
+          acc[i] += cfg.G * a;
+          pot[i] += cfg.G * p;
+          const std::uint64_t count =
+              lists.bodies.size() - 1 + lists.cells.size();  // self term skipped
+          t.body_body += lists.bodies.size() - 1;
+          t.body_cell += lists.cells.size();
+          if (!work.empty()) work[i] = static_cast<double>(count);
+        }
+      });
   telemetry::count_tally(tally);
   return tally;
 }
@@ -90,10 +62,7 @@ InteractionTally apply_let_import(const hot::LetImport& import,
   InteractionTally tally;
   const double eps2 = cfg.softening * cfg.softening;
   InteractionBatch batch;
-  batch.use_quad = cfg.mac.quadrupole;
-  batch.reserve_bodies(import.bodies.size());
-  for (const hot::SourceRecord& s : import.bodies) batch.add_body(s.pos, s.mass);
-  for (const hot::CellRecord& c : import.cells) batch.add_cell(c.com, c.mass, c.quad);
+  gather_records(import.bodies, import.cells, cfg.mac.quadrupole, batch);
   // Sinks are independent over a shared read-only batch; each chunk writes
   // a disjoint slice of acc/pot/work.
   util::TaskPool& pool = util::TaskPool::global();

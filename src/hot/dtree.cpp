@@ -33,27 +33,6 @@ struct ReplyHeader {
   std::uint64_t nbodies;
 };
 
-// Recover origin-centered raw moments from a finalized cell (inverse of
-// finalize_moments): S_com = (quad + b2 * I) / 3, S_origin = S_com + m c c^T.
-RawMoments raw_from_cell(const Cell& c) {
-  RawMoments raw;
-  raw.mass = c.mass;
-  raw.weighted_pos = c.mass * c.com;
-  const auto& q = c.quad;
-  const double b2 = c.b2;
-  std::array<double, 6> s{(q[0] + b2) / 3.0, q[1] / 3.0,        q[2] / 3.0,
-                          (q[3] + b2) / 3.0, q[4] / 3.0,        (q[5] + b2) / 3.0};
-  const Vec3d& cm = c.com;
-  s[0] += c.mass * cm.x * cm.x;
-  s[1] += c.mass * cm.x * cm.y;
-  s[2] += c.mass * cm.x * cm.z;
-  s[3] += c.mass * cm.y * cm.y;
-  s[4] += c.mass * cm.y * cm.z;
-  s[5] += c.mass * cm.z * cm.z;
-  raw.second = s;
-  return raw;
-}
-
 bool accept_record(const Mac& mac, const CellRecord& rec, double dist,
                    InteractionTally& tally) {
   ++tally.mac_tests;

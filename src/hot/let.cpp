@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "hot/traverse.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hotlib::hot {
@@ -19,37 +20,6 @@ Aabb local_aabb(const Bodies& b) {
   return box;
 }
 
-namespace {
-
-// Walk the local tree against a remote box, appending what that rank needs.
-void collect_for_box(const Tree& tree, std::span<const Vec3d> pos,
-                     std::span<const double> mass, const Aabb& box, const Mac& mac,
-                     std::vector<CellRecord>& cells, std::vector<SourceRecord>& bodies) {
-  if (tree.empty() || tree.root().body_count == 0) return;
-  std::vector<std::uint32_t> stack{0};
-  const auto& all = tree.cells();
-  while (!stack.empty()) {
-    const Cell& c = all[stack.back()];
-    stack.pop_back();
-    if (c.body_count == 0) continue;
-    const double dist = box.distance(c.com);  // closest possible remote sink
-    if (mac.accept(c, dist)) {
-      cells.push_back({c.com, c.mass, c.quad, c.b2, c.bmax});
-      continue;
-    }
-    if (c.is_leaf()) {
-      for (std::uint32_t i = c.body_begin; i < c.body_begin + c.body_count; ++i) {
-        const std::uint32_t orig = tree.order()[i];
-        bodies.push_back({pos[orig], mass[orig]});
-      }
-      continue;
-    }
-    for (std::uint32_t k = 0; k < c.nchildren; ++k) stack.push_back(c.first_child + k);
-  }
-}
-
-}  // namespace
-
 LetImport exchange_let(parc::Rank& rank, const Tree& local_tree,
                        std::span<const Vec3d> local_pos,
                        std::span<const double> local_mass,
@@ -60,20 +30,30 @@ LetImport exchange_let(parc::Rank& rank, const Tree& local_tree,
   // Wire format per destination: [u64 ncells][u64 nbodies][cells][bodies].
   std::vector<parc::Bytes> out(static_cast<std::size_t>(p));
   std::size_t bytes_sent = 0;
+  InteractionLists lists;
+  InteractionTally walk_tally;  // the push walk evaluates no interactions
   for (int d = 0; d < p; ++d) {
     if (d == rank.rank()) continue;
-    std::vector<CellRecord> cells;
-    std::vector<SourceRecord> bodies;
-    collect_for_box(local_tree, local_pos, local_mass, boxes[static_cast<std::size_t>(d)],
-                    mac, cells, bodies);
+    // The MAC walk against the remote box, its lists turned into records.
+    build_box_interaction_lists(local_tree, boxes[static_cast<std::size_t>(d)], mac,
+                                lists, walk_tally);
     parc::Bytes& buf = out[static_cast<std::size_t>(d)];
-    const std::uint64_t nc = cells.size(), nb = bodies.size();
+    const std::uint64_t nc = lists.cells.size(), nb = lists.bodies.size();
     buf.resize(16 + nc * sizeof(CellRecord) + nb * sizeof(SourceRecord));
     std::memcpy(buf.data(), &nc, 8);
     std::memcpy(buf.data() + 8, &nb, 8);
-    std::memcpy(buf.data() + 16, cells.data(), nc * sizeof(CellRecord));
-    std::memcpy(buf.data() + 16 + nc * sizeof(CellRecord), bodies.data(),
-                nb * sizeof(SourceRecord));
+    std::uint8_t* at = buf.data() + 16;
+    for (std::uint32_t ci : lists.cells) {
+      const Cell& c = local_tree.cells()[ci];
+      const CellRecord r{c.com, c.mass, c.quad, c.b2, c.bmax};
+      std::memcpy(at, &r, sizeof r);
+      at += sizeof r;
+    }
+    for (std::uint32_t i : lists.bodies) {
+      const SourceRecord r{local_pos[i], local_mass[i]};
+      std::memcpy(at, &r, sizeof r);
+      at += sizeof r;
+    }
     bytes_sent += buf.size();
   }
 
@@ -93,10 +73,14 @@ LetImport exchange_let(parc::Rank& rank, const Tree& local_tree,
     const std::size_t old_c = import.cells.size(), old_b = import.bodies.size();
     import.cells.resize(old_c + nc);
     import.bodies.resize(old_b + nb);
-    std::memcpy(import.cells.data() + old_c, buf.data() + cells_at,
-                nc * sizeof(CellRecord));
-    std::memcpy(import.bodies.data() + old_b, buf.data() + bodies_at,
-                nb * sizeof(SourceRecord));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (nc > 0)
+      std::memcpy(import.cells.data() + old_c, buf.data() + cells_at,
+                  nc * sizeof(CellRecord));
+    if (nb > 0)
+      std::memcpy(import.bodies.data() + old_b, buf.data() + bodies_at,
+                  nb * sizeof(SourceRecord));
   }
   span.set_arg(bytes_sent);
   telemetry::count(telemetry::Counter::kLetCellsImported, import.cells.size());

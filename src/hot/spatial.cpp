@@ -46,27 +46,23 @@ void collect_in_box(const Tree& tree, std::span<const Vec3d> pos, const Aabb& bo
                     std::vector<std::uint32_t>& out) {
   telemetry::Span span("region_walk", telemetry::Phase::kOther);
   out.clear();
-  const auto& cells = tree.cells();
-  if (cells.empty() || cells[0].body_count == 0) return;
-  // Depth-first with children pushed in reverse octant order, so leaves are
-  // visited in Morton order and the output needs no sort.
-  std::vector<std::uint32_t> stack{0};
-  while (!stack.empty()) {
-    const Cell& c = cells[stack.back()];
-    stack.pop_back();
+  // The shared descent pops children last-first, so leaves arrive in reverse
+  // Morton order: append each leaf back to front and reverse once at the end
+  // for Morton order without a sort.
+  std::vector<std::uint32_t> stack;
+  tree.descend(stack, [&](std::uint32_t, const Cell& c) {
     const morton::CellBox b = tree.box(c);
-    if (!box_intersects(b, box)) continue;
+    if (!box_intersects(b, box)) return false;
     if (c.is_leaf()) {
       const bool whole = box_inside(b, box);
-      for (std::uint32_t t = c.body_begin; t < c.body_begin + c.body_count; ++t) {
+      for (std::uint32_t t = c.body_begin + c.body_count; t-- > c.body_begin;) {
         const std::uint32_t i = tree.order()[t];
         if (whole || box.contains(pos[i])) out.push_back(i);
       }
-    } else {
-      for (std::uint32_t k = c.nchildren; k-- > 0;)
-        stack.push_back(c.first_child + k);
     }
-  }
+    return true;
+  });
+  std::reverse(out.begin(), out.end());
   span.set_arg(out.size());
 }
 

@@ -4,51 +4,43 @@ namespace hotlib::hot {
 
 namespace {
 
-// Shared walk core: sink group centered at `gc` with radius `gr`, whose own
-// members (when `self_index` names a leaf of the tree) go onto the direct
-// list at `self_begin`. A point sink is the degenerate case gr == 0 with
-// self_index == kNullIndex; `dist` then reduces to |c.com - point| - 0.0,
-// which is bit-identical to the plain distance, so factoring the two walks
-// through one body changes nothing for the existing group path.
-void walk(const Tree& tree, const Vec3d& gc, double gr, std::uint32_t self_index,
-          const Mac& mac, InteractionLists& lists, InteractionTally& tally) {
+// The MAC walk core: `sink_dist(cell)` is the distance from the cell's
+// center of mass to the closest possible sink. A cell is accepted when the
+// MAC passes at that distance, a failing leaf spills its bodies onto the
+// direct list, and anything else is opened. The leaf named by `self_index`
+// (kNullIndex for sinks that own no bodies) goes onto the direct list
+// whole, at `self_begin`.
+template <class SinkDist>
+void mac_walk(const Tree& tree, std::uint32_t self_index, const Mac& mac,
+              const SinkDist& sink_dist, InteractionLists& lists,
+              InteractionTally& tally) {
   lists.cells.clear();
   lists.bodies.clear();
-  const auto& cells = tree.cells();
-  if (cells.empty() || cells[0].body_count == 0) {
-    lists.self_begin = 0;
-    return;
-  }
-
-  std::vector<std::uint32_t> stack{0};
-  while (!stack.empty()) {
-    const std::uint32_t ci = stack.back();
-    stack.pop_back();
-    const Cell& c = cells[ci];
-    if (c.body_count == 0) continue;
-
+  lists.self_begin = 0;
+  const auto spill = [&](const Cell& c) {
+    for (std::uint32_t i = c.body_begin; i < c.body_begin + c.body_count; ++i)
+      lists.bodies.push_back(tree.order()[i]);
+  };
+  tree.descend(lists.stack, [&](std::uint32_t ci, const Cell& c) {
+    if (c.body_count == 0) return false;
     if (ci == self_index) {
       // The group interacts with itself directly.
       lists.self_begin = lists.bodies.size();
-      for (std::uint32_t i = c.body_begin; i < c.body_begin + c.body_count; ++i)
-        lists.bodies.push_back(tree.order()[i]);
-      continue;
+      spill(c);
+      return false;
     }
-
-    const double dist = norm(c.com - gc) - gr;  // worst-case sink distance
     ++tally.mac_tests;
-    if (mac.accept(c, dist)) {
+    if (mac.accept(c, sink_dist(c))) {
       lists.cells.push_back(ci);
-      continue;
+      return false;
     }
     if (c.is_leaf()) {
-      for (std::uint32_t i = c.body_begin; i < c.body_begin + c.body_count; ++i)
-        lists.bodies.push_back(tree.order()[i]);
-      continue;
+      spill(c);
+      return false;
     }
     ++tally.cells_opened;
-    for (std::uint32_t k = 0; k < c.nchildren; ++k) stack.push_back(c.first_child + k);
-  }
+    return true;
+  });
   if (self_index == kNullIndex) lists.self_begin = lists.bodies.size();
 }
 
@@ -57,12 +49,22 @@ void walk(const Tree& tree, const Vec3d& gc, double gr, std::uint32_t self_index
 void build_interaction_lists(const Tree& tree, std::uint32_t leaf_index, const Mac& mac,
                              InteractionLists& lists, InteractionTally& tally) {
   const Cell& group = tree.cells()[leaf_index];
-  walk(tree, group.com, group.bmax, leaf_index, mac, lists, tally);
+  // Worst-case sink distance: the group's nearest member may sit bmax closer.
+  mac_walk(tree, leaf_index, mac,
+           [&](const Cell& c) { return norm(c.com - group.com) - group.bmax; }, lists,
+           tally);
 }
 
 void build_point_interaction_lists(const Tree& tree, const Vec3d& point, const Mac& mac,
                                    InteractionLists& lists, InteractionTally& tally) {
-  walk(tree, point, 0.0, kNullIndex, mac, lists, tally);
+  mac_walk(tree, kNullIndex, mac, [&](const Cell& c) { return norm(c.com - point); },
+           lists, tally);
+}
+
+void build_box_interaction_lists(const Tree& tree, const Aabb& box, const Mac& mac,
+                                 InteractionLists& lists, InteractionTally& tally) {
+  mac_walk(tree, kNullIndex, mac, [&](const Cell& c) { return box.distance(c.com); },
+           lists, tally);
 }
 
 std::vector<std::uint32_t> leaf_indices(const Tree& tree) {

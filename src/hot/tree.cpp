@@ -318,12 +318,9 @@ void Tree::compute_moments(std::uint32_t ci, const std::vector<Vec3d>& sorted_po
 void Tree::find_within(const Vec3d& center, double radius,
                        std::vector<std::uint32_t>& out) const {
   out.clear();
-  if (cells_.empty() || cells_[0].body_count == 0) return;
   const double r2 = radius * radius;
-  std::vector<std::uint32_t> stack{0};
-  while (!stack.empty()) {
-    const Cell& c = cells_[stack.back()];
-    stack.pop_back();
+  std::vector<std::uint32_t> stack;
+  descend(stack, [&](std::uint32_t, const Cell& c) {
     const morton::CellBox b = box(c);
     // Min distance from center to the cell cube.
     double d2 = 0;
@@ -331,14 +328,12 @@ void Tree::find_within(const Vec3d& center, double radius,
       const double excess = std::abs(center[a] - b.center[a]) - b.half;
       if (excess > 0) d2 += excess * excess;
     }
-    if (d2 > r2) continue;
-    if (c.is_leaf()) {
+    if (d2 > r2) return false;
+    if (c.is_leaf())
       for (std::uint32_t i = c.body_begin; i < c.body_begin + c.body_count; ++i)
         out.push_back(order_[i]);
-    } else {
-      for (std::uint32_t k = 0; k < c.nchildren; ++k) stack.push_back(c.first_child + k);
-    }
-  }
+    return true;
+  });
 }
 
 }  // namespace hotlib::hot

@@ -97,6 +97,25 @@ class Tree {
     for (std::size_t i = cells_.size(); i-- > 0;) f(cells_[i], static_cast<std::uint32_t>(i));
   }
 
+  // The one pruned depth-first descent every tree walk runs on: pops a cell,
+  // calls visit(ci, cell), and opens it — pushes its children in octant
+  // order, so they pop last-first — when visit returns true. `stack` is
+  // caller-owned scratch, cleared on entry, so a walk that reuses it does
+  // not allocate. A tree without bodies visits nothing.
+  template <class Visit>
+  void descend(std::vector<std::uint32_t>& stack, Visit&& visit) const {
+    stack.clear();
+    if (cells_.empty() || cells_[0].body_count == 0) return;
+    stack.push_back(0);
+    while (!stack.empty()) {
+      const std::uint32_t ci = stack.back();
+      stack.pop_back();
+      const Cell& c = cells_[ci];
+      if (visit(ci, c))
+        for (std::uint32_t k = 0; k < c.nchildren; ++k) stack.push_back(c.first_child + k);
+    }
+  }
+
   // Candidate neighbour search: original indices of all bodies in leaf cells
   // whose box overlaps the sphere (center, radius). The tree does not store
   // positions, so callers apply the exact radius test; no candidate within

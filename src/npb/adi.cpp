@@ -61,29 +61,6 @@ Mat3 mat_inverse(const Mat3& a) {
 // Constant inter-component coupling for BT: diagonally dominant, asymmetric.
 const Mat3 kCoupling{1.0, 0.2, 0.1, 0.1, 1.0, 0.2, 0.2, 0.1, 1.0};
 
-// ---- scalar tridiagonal (Thomas) -------------------------------------------
-// System: -lam u_{i-1} + (1+2 lam) u_i - lam u_{i+1} = rhs_i, Dirichlet.
-void solve_tridiag(std::vector<double>& x, int n, double lam) {
-  static thread_local std::vector<double> c, d;
-  c.assign(static_cast<std::size_t>(n), 0.0);
-  d.assign(static_cast<std::size_t>(n), 0.0);
-  const double b = 1.0 + 2.0 * lam, a = -lam;
-  double beta = b;
-  c[0] = a / beta;
-  d[0] = x[0] / beta;
-  for (int i = 1; i < n; ++i) {
-    beta = b - a * c[static_cast<std::size_t>(i - 1)];
-    c[static_cast<std::size_t>(i)] = a / beta;
-    d[static_cast<std::size_t>(i)] =
-        (x[static_cast<std::size_t>(i)] - a * d[static_cast<std::size_t>(i - 1)]) / beta;
-  }
-  x[static_cast<std::size_t>(n - 1)] = d[static_cast<std::size_t>(n - 1)];
-  for (int i = n - 2; i >= 0; --i)
-    x[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i)] -
-                                     c[static_cast<std::size_t>(i)] *
-                                         x[static_cast<std::size_t>(i + 1)];
-}
-
 // ---- scalar pentadiagonal --------------------------------------------------
 // Bands (e, a, b, a, e) from the 4th-order stencil of (I - lam D4):
 // D4 u ~ (-u_{i-2} + 16 u_{i-1} - 30 u_i + 16 u_{i+1} - u_{i+2}) / 12.

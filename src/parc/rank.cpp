@@ -194,6 +194,7 @@ void Rank::am_ship_batch(int dst) {
   Bytes& buf = am_batches_[static_cast<std::size_t>(dst)];
   if (buf.empty()) return;
   if (!am_reliable_) {
+    ++am_batches_sent_;
     tel::count(tel::Counter::kAbmBatchesSent);
     send(dst, kAmTag, buf);
     buf.clear();
@@ -222,6 +223,7 @@ void Rank::am_ship_batch(int dst) {
   std::memcpy(wire.data(), &h, sizeof h);
   std::memcpy(wire.data() + sizeof h, buf.data(), buf.size());
   buf.clear();
+  ++am_batches_sent_;
   tel::count(tel::Counter::kAbmBatchesSent);
   send(dst, kAmTag, wire);
   oc.unacked.push_back({h.seq, std::move(wire), nrecords, 0,

@@ -256,6 +256,9 @@ class Rank {
   std::uint64_t am_posted() const { return am_posted_; }
   std::uint64_t am_dispatched() const { return am_dispatched_; }
   std::uint64_t am_abandoned() const { return am_abandoned_; }
+  // AM batches this rank has shipped, counted once each (retransmits and
+  // acks excluded) — the same events as Counter::kAbmBatchesSent.
+  std::uint64_t am_batches_sent() const { return am_batches_sent_; }
   void am_set_batch_limit(std::size_t bytes) { am_batch_limit_ = bytes; }
 
   bool am_reliable() const { return am_reliable_; }
@@ -319,6 +322,7 @@ class Rank {
   std::uint64_t am_posted_ = 0;
   std::uint64_t am_dispatched_ = 0;
   std::uint64_t am_abandoned_ = 0;
+  std::uint64_t am_batches_sent_ = 0;
 
   bool am_reliable_ = false;
   AmRetryParams am_retry_;

@@ -25,7 +25,6 @@ const char* decode_error_name(DecodeError e) {
     case DecodeError::kBadVersion: return "bad-version";
     case DecodeError::kBadType: return "bad-type";
     case DecodeError::kBadChecksum: return "bad-checksum";
-    case DecodeError::kFutureVersion: return "future-version";
   }
   return "unknown";
 }
@@ -73,74 +72,56 @@ std::optional<FrameDecoder::Event> FrameDecoder::next() {
     ev.error = poison_error_;
     return ev;
   }
-  for (;;) {
-    // The first 32 bytes (the prelude) are layout-identical across every
-    // protocol version, so magic / length / version can be judged before we
-    // know how long this frame's header actually is.
-    if (buf_.size() - pos_ < kLegacyHeaderBytes) return std::nullopt;
-    FrameHeader h{};  // trace fields stay zero until a full v3 header is read
-    std::memcpy(static_cast<void*>(&h), buf_.data() + pos_, kLegacyHeaderBytes);
-    const bool future_version =
-        h.magic == kFrameMagic && h.version != kProtocolVersion &&
-        (h.version < kLegacyVersionMin || h.version > kLegacyVersionMax);
-    if (h.magic != kFrameMagic || h.payload_bytes > kMaxFramePayload ||
-        future_version) {
-      // Framing is broken: wrong magic / absurd length mean we cannot know
-      // where the next frame starts; a *future* protocol version means we
-      // cannot know how long its header is. Either way resynchronization is
-      // impossible. Poison the stream.
-      poisoned_ = true;
-      poison_reported_ = true;
-      poison_error_ = h.magic != kFrameMagic  ? DecodeError::kBadMagic
-                      : future_version        ? DecodeError::kFutureVersion
-                                              : DecodeError::kOversized;
-      buf_.clear();
-      pos_ = 0;
-      Event ev;
-      ev.ok = false;
-      ev.error = poison_error_;
-      ev.tenant = h.magic == kFrameMagic ? h.tenant : 0;
-      ev.request_id = h.magic == kFrameMagic ? h.request_id : 0;
-      return ev;
-    }
-    if (h.version != kProtocolVersion) {
-      // Legacy (v1/v2) frame: same prelude layout, so payload_bytes is
-      // trustworthy and the whole frame can be skipped — resynchronizable.
-      if (buf_.size() - pos_ < kLegacyHeaderBytes + h.payload_bytes)
-        return std::nullopt;
-      Event ev;
-      ev.ok = false;
-      ev.error = DecodeError::kBadVersion;
-      ev.tenant = h.tenant;
-      ev.request_id = h.request_id;
-      pos_ += kLegacyHeaderBytes + h.payload_bytes;
-      compact();
-      return ev;
-    }
-    if (buf_.size() - pos_ < sizeof(FrameHeader) + h.payload_bytes)
-      return std::nullopt;  // wait for the rest of the header + payload
-    std::memcpy(&h, buf_.data() + pos_, sizeof(h));
-    // Validate and copy out of the buffer *before* advancing pos_: compact()
-    // may slide the buffer and would invalidate a raw payload pointer.
-    const std::uint8_t* payload = buf_.data() + pos_ + sizeof(FrameHeader);
+  // The header fields before the checksum (magic, version, length, and the
+  // tenant / request id an error reply is attributed to) decide whether the
+  // stream can be framed at all, so judge them as soon as they are here.
+  constexpr std::size_t kJudgedBytes = offsetof(FrameHeader, checksum);
+  if (buf_.size() - pos_ < kJudgedBytes) return std::nullopt;
+  FrameHeader h{};
+  std::memcpy(static_cast<void*>(&h), buf_.data() + pos_, kJudgedBytes);
+  if (h.magic != kFrameMagic || h.payload_bytes > kMaxFramePayload ||
+      h.version != kProtocolVersion) {
+    // Framing is broken: wrong magic / absurd length mean we cannot know
+    // where the next frame starts; any other protocol version means we
+    // cannot know how long its header is. Either way resynchronization is
+    // impossible. Poison the stream.
+    poisoned_ = true;
+    poison_reported_ = true;
+    poison_error_ = h.magic != kFrameMagic           ? DecodeError::kBadMagic
+                    : h.version != kProtocolVersion ? DecodeError::kBadVersion
+                                                    : DecodeError::kOversized;
+    buf_.clear();
+    pos_ = 0;
     Event ev;
-    ev.tenant = h.tenant;
-    ev.request_id = h.request_id;
-    if (h.type < kFrameTypeMin || h.type > kFrameTypeMax) {
-      ev.ok = false;
-      ev.error = DecodeError::kBadType;
-    } else if (frame_checksum(h, payload, h.payload_bytes) != h.checksum) {
-      ev.ok = false;
-      ev.error = DecodeError::kBadChecksum;
-    } else {
-      ev.ok = true;
-      ev.frame.header = h;
-      ev.frame.payload.assign(payload, payload + h.payload_bytes);
-    }
-    pos_ += sizeof(FrameHeader) + h.payload_bytes;
-    compact();
+    ev.ok = false;
+    ev.error = poison_error_;
+    ev.tenant = h.magic == kFrameMagic ? h.tenant : 0;
+    ev.request_id = h.magic == kFrameMagic ? h.request_id : 0;
     return ev;
   }
+  if (buf_.size() - pos_ < sizeof(FrameHeader) + h.payload_bytes)
+    return std::nullopt;  // wait for the rest of the header + payload
+  std::memcpy(&h, buf_.data() + pos_, sizeof(h));
+  // Validate and copy out of the buffer *before* advancing pos_: compact()
+  // may slide the buffer and would invalidate a raw payload pointer.
+  const std::uint8_t* payload = buf_.data() + pos_ + sizeof(FrameHeader);
+  Event ev;
+  ev.tenant = h.tenant;
+  ev.request_id = h.request_id;
+  if (h.type < kFrameTypeMin || h.type > kFrameTypeMax) {
+    ev.ok = false;
+    ev.error = DecodeError::kBadType;
+  } else if (frame_checksum(h, payload, h.payload_bytes) != h.checksum) {
+    ev.ok = false;
+    ev.error = DecodeError::kBadChecksum;
+  } else {
+    ev.ok = true;
+    ev.frame.header = h;
+    ev.frame.payload.assign(payload, payload + h.payload_bytes);
+  }
+  pos_ += sizeof(FrameHeader) + h.payload_bytes;
+  compact();
+  return ev;
 }
 
 }  // namespace hotlib::serve

@@ -9,20 +9,16 @@
 // parc message layer — no text parsing anywhere near the hot path.
 //
 // Decode error taxonomy (FrameDecoder):
-//  * resynchronizable errors — a *legacy* protocol version (v1/v2 shared
-//    this header prelude, so the payload length is still trustworthy),
-//    unknown type, checksum mismatch: the decoder skips the frame, reports
-//    one error event and keeps going;
-//  * poisoning errors — bad magic, an oversized length, or a *future*
-//    protocol version (whose header size this build cannot know): the
-//    framing itself can no longer be trusted, so the stream is poisoned
-//    (one error event, then silence). The service drops poisoned
+//  * resynchronizable errors — unknown type, checksum mismatch: the
+//    decoder skips the frame, reports one error event and keeps going;
+//  * poisoning errors — bad magic, an oversized length, or any protocol
+//    version but kProtocolVersion (whose header size this build cannot
+//    know): the framing itself can no longer be trusted, so the stream is
+//    poisoned (one error event, then silence). The service drops poisoned
 //    connections; honest clients reconnect.
 //
 // v3 appends a trace context (trace id, parent span id, sampling flag) to
-// the header: the wire leg of per-request distributed tracing. The first 32
-// bytes are layout-identical to the v1/v2 header, which is what makes the
-// legacy-version taxonomy above decidable.
+// the header: the wire leg of per-request distributed tracing.
 #pragma once
 
 #include <cstddef>
@@ -45,14 +41,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x484F5453u;  // "STOH" LE
 // of silently misrouting a frame.
 // v3: a trace context (trace id + parent span + sampling flag) rides after
 // the v2 header; the checksum covers it too.
+// This is the only version the decoder accepts; any other poisons the stream.
 inline constexpr std::uint16_t kProtocolVersion = 3;
-// Versions this build recognizes as *legacy*: same 32-byte header prelude,
-// so a frame in one of these versions can be skipped cleanly (resync)
-// instead of poisoning the stream.
-inline constexpr std::uint16_t kLegacyVersionMin = 1;
-inline constexpr std::uint16_t kLegacyVersionMax = 2;
-// Byte count of the v1/v2 header == the version-invariant prelude of v3.
-inline constexpr std::size_t kLegacyHeaderBytes = 32;
 // Largest payload a well-formed frame may carry. A header that claims more
 // is treated as framing corruption (poisoning), not as a request.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 22;  // 4 MiB
@@ -84,9 +74,8 @@ inline constexpr std::uint16_t kFrameTypeMax =
 // Trace-context flag bits (FrameHeader::trace_flags).
 inline constexpr std::uint32_t kTraceFlagSampled = 1u;
 
-// 56-byte wire header preceding every payload. The first 32 bytes are the
-// version-invariant prelude (identical layout since v1); the trace context
-// after it is the v3 extension.
+// 56-byte wire header preceding every payload; the trace context is the v3
+// extension.
 struct FrameHeader {
   std::uint32_t magic = kFrameMagic;
   std::uint16_t version = kProtocolVersion;
@@ -103,7 +92,6 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 56);
 static_assert(offsetof(FrameHeader, payload_bytes) == 12);
-static_assert(offsetof(FrameHeader, trace_id) == kLegacyHeaderBytes);
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
@@ -368,10 +356,9 @@ enum class DecodeError : std::uint32_t {
   kNone = 0,
   kBadMagic,        // poisoning
   kOversized,       // poisoning
-  kBadVersion,      // resynchronizable: legacy (v1/v2) frame skipped whole
+  kBadVersion,      // poisoning: another version's header layout is unknowable
   kBadType,
   kBadChecksum,
-  kFutureVersion,   // poisoning: header size of a newer protocol is unknowable
 };
 
 const char* decode_error_name(DecodeError e);

@@ -23,7 +23,6 @@ constexpr std::size_t kMaxNeighborsPerReply =
 ErrorCode decode_error_to_code(DecodeError e) {
   switch (e) {
     case DecodeError::kBadVersion: return ErrorCode::kBadVersion;
-    case DecodeError::kFutureVersion: return ErrorCode::kBadVersion;
     case DecodeError::kBadType: return ErrorCode::kBadType;
     case DecodeError::kBadChecksum: return ErrorCode::kBadChecksum;
     default: return ErrorCode::kMalformedFrame;

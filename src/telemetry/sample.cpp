@@ -1,7 +1,5 @@
 #include "telemetry/sample.hpp"
 
-#ifndef HOTLIB_TELEMETRY_DISABLED
-
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -212,5 +210,3 @@ void operator delete(void* p, std::size_t n) noexcept { counted_delete(p, n); }
 void operator delete[](void* p, std::size_t n) noexcept { counted_delete(p, n); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { counted_delete(p, 0); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_delete(p, 0); }
-
-#endif  // HOTLIB_TELEMETRY_DISABLED

@@ -18,9 +18,7 @@
 // carries a non-empty `timeseries` section.
 //
 // Everything here is a thread-local load and a branch when telemetry is
-// disabled, and compiles out entirely under HOTLIB_TELEMETRY_DISABLED —
-// including the global operator new/delete instrumentation behind the
-// memory gauge.
+// disabled.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +27,6 @@
 #include "telemetry/trace.hpp"
 
 namespace hotlib::telemetry {
-
-#ifndef HOTLIB_TELEMETRY_DISABLED
 
 // Set / bump a gauge on the calling rank's channel; no-op when unattached.
 void gauge_set(Gauge g, double v);
@@ -61,18 +57,5 @@ std::array<double, kGaugeCount> global_gauges_snapshot();
 void mem_gauge_reset();
 std::uint64_t mem_live_bytes();
 std::uint64_t mem_peak_bytes();
-
-#else  // HOTLIB_TELEMETRY_DISABLED: the sampler compiles to nothing.
-
-inline void gauge_set(Gauge, double) {}
-inline void gauge_add(Gauge, double) {}
-inline bool sample_tick() { return false; }
-inline void sample_now() {}
-inline std::array<double, kGaugeCount> global_gauges_snapshot() { return {}; }
-inline void mem_gauge_reset() {}
-inline std::uint64_t mem_live_bytes() { return 0; }
-inline std::uint64_t mem_peak_bytes() { return 0; }
-
-#endif
 
 }  // namespace hotlib::telemetry

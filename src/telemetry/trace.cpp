@@ -149,8 +149,6 @@ void ensure_worker(int worker_index) {
   Registry::instance().attach(kWorkerRank, nullptr, worker_index + 1);
 }
 
-#ifndef HOTLIB_TELEMETRY_DISABLED
-
 // Counter slots are written only by the channel's owning thread but may be
 // read at any moment by a live metrics scrape (counters_snapshot), so the
 // increments are relaxed atomic RMWs — on x86 a lock add, cheap enough for
@@ -174,13 +172,6 @@ void count_tally(const InteractionTally& t) {
   std::atomic_ref<std::uint64_t>(ch->counters_[Counter::kMacTests])
       .fetch_add(t.mac_tests, std::memory_order_relaxed);
 }
-
-#else
-
-void count(Counter, std::uint64_t) {}
-void count_tally(const InteractionTally&) {}
-
-#endif
 
 CounterBlock global_counters() {
   // Relaxed atomic snapshot per channel, so the rollup is safe to take while

@@ -9,9 +9,7 @@
 //
 // A Span records one timed scope with both wall-clock and — when the thread
 // is a parc rank — LogP virtual time. The disabled path is one relaxed
-// atomic load and a branch (measured by bench_faults at ~1 ns/span);
-// defining HOTLIB_TELEMETRY_DISABLED compiles spans and counters out
-// entirely.
+// atomic load and a branch (measured by bench_faults at ~1 ns/span).
 //
 // Phase totals are accumulated only by *top-level* spans of each phase
 // (nested same-phase spans don't double-count), which is what lets the
@@ -343,8 +341,6 @@ class RankScope {
   RankScope& operator=(const RankScope&) = delete;
 };
 
-#ifndef HOTLIB_TELEMETRY_DISABLED
-
 // RAII timed scope. Construction snapshots wall + virtual time; destruction
 // records one 'X' event and accumulates the phase total (top-level spans of
 // a phase only).
@@ -452,18 +448,5 @@ inline void instant(const char* name, Phase phase, std::uint64_t arg = 0) {
   }
   ch->record(e);
 }
-
-#else  // HOTLIB_TELEMETRY_DISABLED: spans and markers compile to nothing.
-
-class Span {
- public:
-  Span(const char*, Phase, std::uint64_t = 0) {}
-  void set_arg(std::uint64_t) {}
-  std::uint64_t span_id() const { return 0; }
-};
-
-inline void instant(const char*, Phase, std::uint64_t = 0) {}
-
-#endif
 
 }  // namespace hotlib::telemetry

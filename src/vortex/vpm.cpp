@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <numbers>
 
 #include "gravity/batch.hpp"
 #include "hot/traverse.hpp"
 #include "telemetry/trace.hpp"
-#include "util/scratch_pool.hpp"
 #include "util/task_pool.hpp"
 
 namespace hotlib::vortex {
@@ -92,121 +89,75 @@ VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size) {
   return vt;
 }
 
+namespace {
+
+// Bodies and accepted cells share the Biot-Savart kernel, so one batch
+// carries both: particle sources first (list order), then cell centroids
+// with their summed vector strengths.
+void gather_biot_savart(const VortexTree& vt, const VortexParticles& p,
+                        const hot::InteractionLists& lists,
+                        gravity::BiotSavartBatch& batch) {
+  batch.clear();
+  batch.reserve(lists.bodies.size() + lists.cells.size());
+  for (std::uint32_t j : lists.bodies) batch.add(p.pos[j], p.alpha[j]);
+  for (std::uint32_t ci : lists.cells) batch.add(vt.tree.cells()[ci].com, vt.cell_alpha[ci]);
+}
+
+}  // namespace
+
 InteractionTally tree_velocities(VortexParticles& p, const hot::Mac& mac,
                                  int bucket_size) {
-  InteractionTally tally;
-  const std::size_t n = p.size();
-  if (n == 0) return tally;
   const double sigma2 = p.sigma * p.sigma;
-
   const VortexTree vt = build_vortex_tree(p, bucket_size);
   const hot::Tree& tree = vt.tree;
-  const std::vector<Vec3d>& cell_alpha = vt.cell_alpha;
-
-  // Bodies and accepted cells share the Biot-Savart kernel, so one batch
-  // carries both: particle sources first (list order), then cell centroids
-  // with their summed vector strengths. Groups are the parallel unit, same
-  // contract as gravity::tree_forces: each group's walk, gather and kernel
-  // order are fixed, each writes only its own members' vel/dalpha.
-  const auto do_group = [&](std::uint32_t li, hot::InteractionLists& lists,
-                            gravity::BiotSavartBatch& batch, InteractionTally& t) {
-    hot::build_interaction_lists(tree, li, mac, lists, t);
-    batch.clear();
-    batch.reserve(lists.bodies.size() + lists.cells.size());
-    for (std::uint32_t j : lists.bodies) batch.add(p.pos[j], p.alpha[j]);
-    for (std::uint32_t ci : lists.cells)
-      batch.add(tree.cells()[ci].com, cell_alpha[ci]);
-    const hot::Cell& group = tree.cells()[li];
-    for (std::uint32_t s = group.body_begin; s < group.body_begin + group.body_count;
-         ++s) {
-      const std::uint32_t i = tree.order()[s];
-      Vec3d u{}, da{};
-      gravity::batch_biot_savart(batch, p.pos[i], p.alpha[i], sigma2, u, da);
-      p.vel[i] = u;
-      p.dalpha[i] = da;
-      t.body_body += lists.bodies.size();
-      t.body_cell += lists.cells.size();
-    }
-  };
-
   const std::vector<std::uint32_t> leaves = hot::leaf_indices(tree);
-  util::TaskPool& pool = util::TaskPool::global();
-  if (pool.concurrency() == 1 || leaves.size() < 2) {
-    hot::InteractionLists lists;
-    gravity::BiotSavartBatch batch;
-    for (std::uint32_t li : leaves) do_group(li, lists, batch, tally);
-  } else {
-    struct Scratch {
-      hot::InteractionLists lists;
-      gravity::BiotSavartBatch batch;
-      InteractionTally tally;
-    };
-    util::ScratchPool<Scratch> scratch;
-    const std::size_t grain = std::max<std::size_t>(
-        1, leaves.size() / (static_cast<std::size_t>(pool.concurrency()) * 8));
-    pool.parallel_for(leaves.size(), grain, [&](std::size_t lo, std::size_t hi) {
-      telemetry::ensure_worker(util::TaskPool::current_worker());
-      telemetry::Span walk("vortex_walk", telemetry::Phase::kOther, hi - lo);
-      std::unique_ptr<Scratch> s = scratch.acquire();
-      for (std::size_t g = lo; g < hi; ++g)
-        do_group(leaves[g], s->lists, s->batch, s->tally);
-      scratch.release(std::move(s));
-    });
-    scratch.for_each([&](Scratch& s) { tally += s.tally; });
-  }
-  return tally;
+
+  // Groups are the parallel unit, same contract as gravity::tree_forces:
+  // each group's walk, gather and kernel order are fixed, each writes only
+  // its own members' vel/dalpha.
+  return hot::for_each_sink<gravity::BiotSavartBatch>(
+      leaves.size(), "vortex_walk",
+      [&](std::size_t g, hot::InteractionLists& lists, gravity::BiotSavartBatch& batch,
+          InteractionTally& t) {
+        const std::uint32_t li = leaves[g];
+        hot::build_interaction_lists(tree, li, mac, lists, t);
+        gather_biot_savart(vt, p, lists, batch);
+        const hot::Cell& group = tree.cells()[li];
+        for (std::uint32_t s = group.body_begin;
+             s < group.body_begin + group.body_count; ++s) {
+          const std::uint32_t i = tree.order()[s];
+          Vec3d u{}, da{};
+          gravity::batch_biot_savart(batch, p.pos[i], p.alpha[i], sigma2, u, da);
+          p.vel[i] = u;
+          p.dalpha[i] = da;
+          t.body_body += lists.bodies.size();
+          t.body_cell += lists.cells.size();
+        }
+      });
 }
 
 InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticles& p,
                                       const hot::Mac& mac, std::span<const Vec3d> points,
                                       std::span<Vec3d> vel) {
   assert(points.size() == vel.size());
-  InteractionTally tally;
   const double sigma2 = p.sigma * p.sigma;
-  const hot::Tree& tree = vt.tree;
 
   // One query point start to finish, same determinism contract as a
   // tree_velocities group: the walk, the gather and the kernel order are
   // functions of (tree, point) alone and each point writes only its slot.
-  const auto do_point = [&](std::size_t qi, hot::InteractionLists& lists,
-                            gravity::BiotSavartBatch& batch, InteractionTally& t) {
-    hot::build_point_interaction_lists(tree, points[qi], mac, lists, t);
-    batch.clear();
-    batch.reserve(lists.bodies.size() + lists.cells.size());
-    for (std::uint32_t j : lists.bodies) batch.add(p.pos[j], p.alpha[j]);
-    for (std::uint32_t ci : lists.cells)
-      batch.add(tree.cells()[ci].com, vt.cell_alpha[ci]);
-    Vec3d u{}, da{};
-    // Query points carry no strength: alpha_i = 0 kills the stretching term.
-    gravity::batch_biot_savart(batch, points[qi], Vec3d{}, sigma2, u, da);
-    vel[qi] = u;
-    t.body_body += lists.bodies.size();
-    t.body_cell += lists.cells.size();
-  };
-
-  util::TaskPool& pool = util::TaskPool::global();
-  if (pool.concurrency() == 1 || points.size() < 2) {
-    hot::InteractionLists lists;
-    gravity::BiotSavartBatch batch;
-    for (std::size_t qi = 0; qi < points.size(); ++qi) do_point(qi, lists, batch, tally);
-  } else {
-    struct Scratch {
-      hot::InteractionLists lists;
-      gravity::BiotSavartBatch batch;
-      InteractionTally tally;
-    };
-    util::ScratchPool<Scratch> scratch;
-    const std::size_t grain = std::max<std::size_t>(
-        1, points.size() / (static_cast<std::size_t>(pool.concurrency()) * 8));
-    pool.parallel_for(points.size(), grain, [&](std::size_t lo, std::size_t hi) {
-      telemetry::ensure_worker(util::TaskPool::current_worker());
-      std::unique_ptr<Scratch> s = scratch.acquire();
-      for (std::size_t qi = lo; qi < hi; ++qi) do_point(qi, s->lists, s->batch, s->tally);
-      scratch.release(std::move(s));
-    });
-    scratch.for_each([&](Scratch& s) { tally += s.tally; });
-  }
-  return tally;
+  return hot::for_each_sink<gravity::BiotSavartBatch>(
+      points.size(), "vortex_query_walk",
+      [&](std::size_t qi, hot::InteractionLists& lists, gravity::BiotSavartBatch& batch,
+          InteractionTally& t) {
+        hot::build_point_interaction_lists(vt.tree, points[qi], mac, lists, t);
+        gather_biot_savart(vt, p, lists, batch);
+        Vec3d u{}, da{};
+        // Query points carry no strength: alpha_i = 0 kills the stretching term.
+        gravity::batch_biot_savart(batch, points[qi], Vec3d{}, sigma2, u, da);
+        vel[qi] = u;
+        t.body_body += lists.bodies.size();
+        t.body_cell += lists.cells.size();
+      });
 }
 
 InteractionTally evaluate_velocity_with_phantoms(const VortexParticles& p,

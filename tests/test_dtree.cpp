@@ -158,8 +158,10 @@ TEST(Dtree, CachingMakesLaterGroupsCheaper) {
 }
 
 TEST(Dtree, RequestsAreBatched) {
-  // The ABM layer must coalesce key requests: fabric messages stay far below
-  // the number of requests+replies.
+  // The ABM layer must coalesce key requests: the batches every rank ships
+  // stay far below the number of requests+replies. Each rank counts its own
+  // sends between barriers, so no rank's decomposition or collective
+  // traffic leaks into the window.
   const std::size_t n = 2000;
   auto all = plummer_sphere(n, 33);
   const auto domain = fit_domain(all);
@@ -170,15 +172,19 @@ TEST(Dtree, RequestsAreBatched) {
     const auto ranges = decompose(r, local, domain);
     Tree tree;
     tree.build(local.pos, local.mass, domain);
-    const std::uint64_t before = r.fabric().messages_delivered();
+    r.barrier();
+    const std::uint64_t before = r.am_batches_sent();
     DistributedTree dtree(r, tree, local.pos, local.mass, ranges, domain);
     const auto stats = dtree.traverse(Mac{.theta = 0.4},
                                       [](std::uint32_t, const InteractionLists&,
                                          const DistributedTree::RemoteLists&) {});
-    const std::uint64_t msgs = r.fabric().messages_delivered() - before;
+    r.barrier();
+    const std::uint64_t msgs = r.allreduce(r.am_batches_sent() - before, parc::Sum{});
     const std::uint64_t traffic =
         r.allreduce(stats.requests_sent + stats.replies_served, parc::Sum{});
-    if (traffic > 100) EXPECT_LT(msgs, traffic);
+    if (traffic > 100) {
+      EXPECT_LT(msgs, traffic);
+    }
   });
 }
 

@@ -479,6 +479,10 @@ TEST(Spatial, CollectInBoxMatchesBruteForceOverRandomBoxes) {
   Tree tree;
   tree.build(b.pos, b.mass, domain, {.bucket_size = 8});
 
+  // Position of each original body in tree (Morton) order.
+  std::vector<std::uint32_t> tree_pos(b.size());
+  for (std::uint32_t t = 0; t < tree.order().size(); ++t) tree_pos[tree.order()[t]] = t;
+
   Xoshiro256ss rng(77);
   for (int trial = 0; trial < 20; ++trial) {
     const Vec3d c = rng.in_sphere(0.9);
@@ -493,6 +497,9 @@ TEST(Spatial, CollectInBoxMatchesBruteForceOverRandomBoxes) {
     std::vector<std::uint32_t> got_sorted = got;
     std::sort(got_sorted.begin(), got_sorted.end());
     EXPECT_EQ(got_sorted, want) << "trial " << trial;
+    // The documented order: tree positions strictly ascending.
+    for (std::size_t k = 1; k < got.size(); ++k)
+      ASSERT_LT(tree_pos[got[k - 1]], tree_pos[got[k]]) << "trial " << trial << " slot " << k;
     // Pure function of (tree, box): a repeat call returns the same indices
     // in the same (Morton) order, and `out` is cleared first.
     std::vector<std::uint32_t> again{9999999};

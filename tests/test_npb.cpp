@@ -153,9 +153,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(AdiVariant::BT, AdiVariant::SP,
                                          AdiVariant::LU),
                        ::testing::Values(1, 2, 4)),
-    [](const auto& info) {
-      return std::string(variant_name(std::get<0>(info.param))) + "_p" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(variant_name(std::get<0>(param_info.param))) + "_p" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Adi, ResultIndependentOfRankCount) {

@@ -109,7 +109,9 @@ TEST_P(ParcCollectives, ReduceToEveryRoot) {
   Runtime::run(p, [&](Rank& r) {
     for (int root = 0; root < p; ++root) {
       const int v = r.reduce(r.rank(), Sum{}, root);
-      if (r.rank() == root) EXPECT_EQ(v, p * (p - 1) / 2);
+      if (r.rank() == root) {
+        EXPECT_EQ(v, p * (p - 1) / 2);
+      }
       r.barrier();
     }
   });
@@ -244,7 +246,9 @@ TEST(ParcAbm, CascadedHandlersTerminate) {
     if (r.rank() == 0) r.am_post_value(1, h, 20);
     r.am_quiesce();
     r.barrier();
-    if (r.rank() == 0) EXPECT_EQ(hits.load(), 21);
+    if (r.rank() == 0) {
+      EXPECT_EQ(hits.load(), 21);
+    }
   });
 }
 

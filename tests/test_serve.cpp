@@ -155,59 +155,30 @@ TEST(Protocol, BadTypeIsResynchronizable) {
   EXPECT_FALSE(dec.poisoned());
 }
 
-TEST(Protocol, LegacyVersionFramesAreSkippedResynchronizable) {
-  // v1/v2 frames share the 32-byte prelude (magic/version/type/tenant/
-  // length/request_id/checksum) but have no trace extension. The decoder
-  // must attribute the error from the prelude, skip exactly one legacy
-  // frame, and pick the stream back up at the next v3 frame.
-  HelloPayload hello{.tenant = 6, .pad = 0};
-  for (const std::uint16_t ver : {kLegacyVersionMin, kLegacyVersionMax}) {
-    const parc::Bytes v3 = encode_frame(FrameType::kHello, 6, 3, hello);
+TEST(Protocol, FutureVersionPoisonsTheStream) {
+  // Any version but the current one — older or newer — means the header
+  // length is unknowable, so resynchronization is impossible: one typed
+  // event, then the stream dies.
+  for (const std::uint16_t ver : {1, 2, 42}) {
+    HelloPayload hello{.tenant = 1, .pad = 0};
+    parc::Bytes wire = encode_frame(FrameType::kHello, 1, 3, hello);
     FrameHeader h;
-    std::memcpy(&h, v3.data(), sizeof(h));
+    std::memcpy(&h, wire.data(), sizeof(h));
     h.version = ver;
-    parc::Bytes legacy(kLegacyHeaderBytes + sizeof(hello));
-    std::memcpy(legacy.data(), &h, kLegacyHeaderBytes);
-    std::memcpy(legacy.data() + kLegacyHeaderBytes, &hello, sizeof(hello));
+    std::memcpy(wire.data(), &h, sizeof(h));
 
     FrameDecoder dec;
-    dec.feed(legacy);
-    dec.feed(encode_frame(FrameType::kHello, 6, 4, hello));
+    dec.feed(wire);
     const auto err = dec.next();
     ASSERT_TRUE(err.has_value()) << "version " << ver;
     EXPECT_FALSE(err->ok);
     EXPECT_EQ(err->error, DecodeError::kBadVersion);
-    EXPECT_EQ(err->tenant, 6u);       // attribution survives from the prelude
+    EXPECT_EQ(err->tenant, 1u);  // magic was intact, so attribution works
     EXPECT_EQ(err->request_id, 3u);
-    const auto ok = dec.next();
-    ASSERT_TRUE(ok.has_value());
-    EXPECT_TRUE(ok->ok);
-    EXPECT_EQ(ok->frame.header.request_id, 4u);
-    EXPECT_FALSE(dec.poisoned());
+    EXPECT_TRUE(dec.poisoned());
+    dec.feed(encode_frame(FrameType::kHello, 1, 4, hello));
+    EXPECT_FALSE(dec.next().has_value());
   }
-}
-
-TEST(Protocol, FutureVersionPoisonsTheStream) {
-  // A future protocol version means the header length is unknowable, so
-  // resynchronization is impossible: one typed event, then the stream dies.
-  HelloPayload hello{.tenant = 1, .pad = 0};
-  parc::Bytes wire = encode_frame(FrameType::kHello, 1, 3, hello);
-  FrameHeader h;
-  std::memcpy(&h, wire.data(), sizeof(h));
-  h.version = 42;
-  std::memcpy(wire.data(), &h, sizeof(h));
-
-  FrameDecoder dec;
-  dec.feed(wire);
-  const auto err = dec.next();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_FALSE(err->ok);
-  EXPECT_EQ(err->error, DecodeError::kFutureVersion);
-  EXPECT_EQ(err->tenant, 1u);  // magic was intact, so attribution works
-  EXPECT_EQ(err->request_id, 3u);
-  EXPECT_TRUE(dec.poisoned());
-  dec.feed(encode_frame(FrameType::kHello, 1, 4, hello));
-  EXPECT_FALSE(dec.next().has_value());
 }
 
 TEST(Protocol, TraceContextRoundTripsOnTheWireAndIsChecksummed) {
