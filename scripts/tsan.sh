@@ -3,9 +3,10 @@
 # ThreadSanitizer: the task-pool unit/stress suite, the bit-exact
 # determinism sweep, the concurrent cell index (lock-free find racing
 # insert/grow storms, gauge reads racing writers), and the serving layer's
-# concurrent tests — query vs stepping, plus the lock-free metrics-scrape
-# path (atomic counter reads and seqlock gauge snapshots racing live
-# writers) (ctest label `tsan`, see tests/CMakeLists.txt).
+# concurrent tests — query vs stepping, the idle pump lending itself to the
+# pool, plus the lock-free metrics-scrape path (atomic counter reads and
+# seqlock gauge snapshots racing live writers) (ctest label `tsan`, see
+# tests/CMakeLists.txt).
 #
 #   scripts/tsan.sh [build-dir]
 #

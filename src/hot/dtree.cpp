@@ -62,8 +62,9 @@ DistributedTree::DistributedTree(parc::Rank& rank, const Tree& tree,
     rc.child_mask = static_cast<std::uint8_t>(h.child_mask);
     rc.leaf = h.leaf != 0;
     rc.bodies.resize(h.nbodies);
-    std::memcpy(rc.bodies.data(), b.data() + sizeof h,
-                h.nbodies * sizeof(SourceRecord));
+    if (h.nbodies > 0)  // an empty vector's data() may be null
+      std::memcpy(rc.bodies.data(), b.data() + sizeof h,
+                  h.nbodies * sizeof(SourceRecord));
     cache_[h.key] = std::move(rc);
     arrived_keys_.push_back(h.key);
   });
@@ -235,8 +236,9 @@ void DistributedTree::serve_request(int requester, Key key) {
   h.nbodies = bodies.size();
   parc::Bytes payload(sizeof h + bodies.size() * sizeof(SourceRecord));
   std::memcpy(payload.data(), &h, sizeof h);
-  std::memcpy(payload.data() + sizeof h, bodies.data(),
-              bodies.size() * sizeof(SourceRecord));
+  if (!bodies.empty())  // an empty vector's data() may be null
+    std::memcpy(payload.data() + sizeof h, bodies.data(),
+                bodies.size() * sizeof(SourceRecord));
   rank_.am_post(requester, am_reply_, payload);
   telemetry::count(telemetry::Counter::kDtreeRepliesServed);
   if (active_stats_ != nullptr) ++active_stats_->replies_served;

@@ -44,7 +44,8 @@ struct Message {
   std::vector<T> as_vector() const {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<T> out(payload.size() / sizeof(T));
-    std::memcpy(out.data(), payload.data(), out.size() * sizeof(T));
+    if (!out.empty())  // an empty vector's data() may be null
+      std::memcpy(out.data(), payload.data(), out.size() * sizeof(T));
     return out;
   }
 };
@@ -61,7 +62,8 @@ template <class T>
 Bytes to_bytes(std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>);
   Bytes b(values.size_bytes());
-  std::memcpy(b.data(), values.data(), values.size_bytes());
+  if (!values.empty())  // an empty span's data() may be null
+    std::memcpy(b.data(), values.data(), values.size_bytes());
   return b;
 }
 

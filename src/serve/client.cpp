@@ -161,8 +161,9 @@ std::optional<Client::RegionResult> Client::region_query(std::uint32_t sim,
   out.step = reply->step;
   out.total_matches = reply->total_matches;
   out.particles.resize(reply->count);
-  std::memcpy(out.particles.data(), f->payload.data() + sizeof(*reply),
-              reply->count * sizeof(ParticleRecord));
+  if (reply->count > 0)  // an empty vector's data() may be null
+    std::memcpy(out.particles.data(), f->payload.data() + sizeof(*reply),
+                reply->count * sizeof(ParticleRecord));
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include "hot/spatial.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/trace.hpp"
+#include "util/task_pool.hpp"
 
 namespace hotlib::serve {
 
@@ -182,7 +183,12 @@ void SimulationService::step_loop() {
 void SimulationService::pump_loop() {
   telemetry::RankScope scope(cfg_.pump_rank);
   while (running_.load(std::memory_order_acquire)) {
-    if (!pump_once())
+    if (pump_once()) continue;
+    // Idle: lend the pump to the pool for one task — a step chunk, say —
+    // before sleeping, so a query arriving now waits for that one task at
+    // most. global_if_created(): an idle pump never creates the pool.
+    util::TaskPool* pool = util::TaskPool::global_if_created();
+    if (pool == nullptr || !pool->run_one())
       std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   // Final drain so requests sent just before stop() still get answers —

@@ -6,6 +6,12 @@
 //  * stepping — one thread advances every simulation continuously (or the
 //    harness calls step_all() by hand in quiesced mode). Each step publishes
 //    an immutable TreeState; queries never block stepping and vice versa.
+//    A query's pool wait runs only the query's own tasks, never a step's.
+//    Instead, a pump round that finds no frame and no queued query lends
+//    the pump to the global pool for one task (TaskPool::run_one), so a
+//    query that arrives meanwhile waits for one step task at most. Because
+//    an idle pump touches the global pool, TaskPool::set_global_concurrency
+//    needs a stopped service.
 //
 //  * control — Hello / Steer / StatsRequest frames are answered inline by
 //    the pump: they are cheap, and keeping them out of the admission queue

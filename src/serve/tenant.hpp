@@ -1,8 +1,9 @@
 // tenant.hpp — per-tenant serving telemetry.
 //
 // Each tenant admitted to the service gets its own TenantSession: counters
-// for admitted / rejected / errored requests plus a query-latency reservoir
-// from which nearest-rank percentiles (p50/p99/max) are computed. These are
+// for admitted / rejected / errored requests plus a fixed-memory latency
+// histogram (telemetry::LatencyHistogram) from which nearest-rank
+// percentiles, within one bucket, and the exact max are read. These are
 // the per-tenant numbers bench_serve exports as report metrics and the
 // perf gate checks with the percentile (upper-bound) policy — the serving
 // layer's analogue of the wall-clock gates.
@@ -22,40 +23,23 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 #include "serve/protocol.hpp"
+#include "telemetry/histogram.hpp"
 
 namespace hotlib::serve {
 
 class TenantSession {
  public:
-  // Cap on retained latency samples. At the cap the reservoir keeps every
-  // other sample and doubles its stride (same decimation scheme as the
-  // health sampler), so long runs stay bounded while still covering the
-  // whole run.
-  static constexpr std::size_t kMaxSamples = std::size_t{1} << 18;
-
   // Default depth of the slow-query ring (worst-K requests retained).
   static constexpr std::size_t kDefaultSlowLogDepth = 8;
 
   void record_query(double latency_us) {
     std::lock_guard<std::mutex> lk(mu_);
-    ++queries_;
-    max_us_ = std::max(max_us_, latency_us);
-    if (++tick_ % stride_ != 0) return;
-    if (samples_.size() >= kMaxSamples) {
-      // Decimate in place: keep every other retained sample, double stride.
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < samples_.size(); r += 2) samples_[w++] = samples_[r];
-      samples_.resize(w);
-      stride_ *= 2;
-      if (tick_ % stride_ != 0) return;
-    }
-    samples_.push_back(latency_us);
+    latency_.record(latency_us);
   }
 
   void record_rejected() {
@@ -68,18 +52,11 @@ class TenantSession {
     ++errors_;
   }
 
-  // Nearest-rank percentile of the retained latency samples (µs); 0 when
-  // nothing was recorded.
+  // Nearest-rank latency percentile (µs), never below the exact value and
+  // at most one histogram bucket above it; 0 when nothing was recorded.
   double percentile(double p) const {
     std::lock_guard<std::mutex> lk(mu_);
-    if (samples_.empty()) return 0.0;
-    std::vector<double> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-    const std::size_t idx =
-        std::min(sorted.size() - 1,
-                 static_cast<std::size_t>(std::max(1.0, rank)) - 1);
-    return sorted[idx];
+    return latency_.percentile(p);
   }
 
   // ---- slow-query log ----
@@ -120,26 +97,22 @@ class TenantSession {
 
   StatsReplyPayload snapshot(std::uint64_t steps) const {
     StatsReplyPayload s;
-    s.p50_query_latency_us = percentile(50.0);
-    s.p99_query_latency_us = percentile(99.0);
     std::lock_guard<std::mutex> lk(mu_);
-    s.queries = queries_;
+    s.p50_query_latency_us = latency_.percentile(50.0);
+    s.p99_query_latency_us = latency_.percentile(99.0);
+    s.queries = latency_.count();
     s.rejected = rejected_;
     s.errors = errors_;
     s.steps = steps;
-    s.max_query_latency_us = max_us_;
+    s.max_query_latency_us = latency_.max();
     return s;
   }
 
  private:
   mutable std::mutex mu_;
-  std::vector<double> samples_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t stride_ = 1;
-  std::uint64_t queries_ = 0;
+  telemetry::LatencyHistogram latency_;
   std::uint64_t rejected_ = 0;
   std::uint64_t errors_ = 0;
-  double max_us_ = 0.0;
   std::vector<SlowQueryRecord> slow_;
   std::size_t slow_depth_ = kDefaultSlowLogDepth;
 };

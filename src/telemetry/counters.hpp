@@ -166,11 +166,16 @@ enum class Gauge : int {
   // Shared-memory task pool (util::TaskPool::global(), mirrored by
   // sample_now): worker-thread count and lifetime totals of executed tasks,
   // cross-lane steals and summed busy time — per-thread utilization is
-  // pool_busy_seconds / (pool_workers * wall).
+  // pool_busy_seconds / (pool_workers * wall). The lent pair counts tasks
+  // that threads outside the worker loop ran through TaskPool::run_one (the
+  // idle serve pump) and their summed time: how much pump time went to
+  // stepping, and so what a query could have waited behind.
   kPoolWorkers,
   kPoolTasksRun,
   kPoolSteals,
   kPoolBusySeconds,
+  kPoolLentTasks,
+  kPoolLentSeconds,
   kCount
 };
 

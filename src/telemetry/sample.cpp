@@ -100,6 +100,8 @@ void sample_now() {
     store(Gauge::kPoolTasksRun, static_cast<double>(ps.tasks_executed));
     store(Gauge::kPoolSteals, static_cast<double>(ps.steals));
     store(Gauge::kPoolBusySeconds, ps.busy_seconds);
+    store(Gauge::kPoolLentTasks, static_cast<double>(ps.lent_tasks));
+    store(Gauge::kPoolLentSeconds, ps.lent_seconds);
   }
   ch->gauge_seq_.fetch_add(1, std::memory_order_release);
   HealthSample s;
@@ -130,20 +132,19 @@ std::array<double, kGaugeCount> global_gauges_snapshot() {
   // Process-global slots: every channel mirrors these via sample_now(), so a
   // sum would double-count and a per-channel read could be stale. Overwrite
   // them from the live sources instead.
-  total[static_cast<std::size_t>(static_cast<int>(Gauge::kMemLiveBytes))] =
-      static_cast<double>(mem_live_bytes());
-  total[static_cast<std::size_t>(static_cast<int>(Gauge::kMemPeakBytes))] =
-      static_cast<double>(mem_peak_bytes());
+  const auto set = [&total](Gauge g, double v) {
+    total[static_cast<std::size_t>(static_cast<int>(g))] = v;
+  };
+  set(Gauge::kMemLiveBytes, static_cast<double>(mem_live_bytes()));
+  set(Gauge::kMemPeakBytes, static_cast<double>(mem_peak_bytes()));
   if (const util::TaskPool* pool = util::TaskPool::global_if_created()) {
     const util::TaskPool::Stats ps = pool->stats();
-    total[static_cast<std::size_t>(static_cast<int>(Gauge::kPoolWorkers))] =
-        static_cast<double>(pool->concurrency() - 1);
-    total[static_cast<std::size_t>(static_cast<int>(Gauge::kPoolTasksRun))] =
-        static_cast<double>(ps.tasks_executed);
-    total[static_cast<std::size_t>(static_cast<int>(Gauge::kPoolSteals))] =
-        static_cast<double>(ps.steals);
-    total[static_cast<std::size_t>(static_cast<int>(Gauge::kPoolBusySeconds))] =
-        ps.busy_seconds;
+    set(Gauge::kPoolWorkers, static_cast<double>(pool->concurrency() - 1));
+    set(Gauge::kPoolTasksRun, static_cast<double>(ps.tasks_executed));
+    set(Gauge::kPoolSteals, static_cast<double>(ps.steals));
+    set(Gauge::kPoolBusySeconds, ps.busy_seconds);
+    set(Gauge::kPoolLentTasks, static_cast<double>(ps.lent_tasks));
+    set(Gauge::kPoolLentSeconds, ps.lent_seconds);
   }
   return total;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include "telemetry/counters.hpp"  // IWYU pragma: export
+#include "telemetry/histogram.hpp" // IWYU pragma: export
 #include "telemetry/json.hpp"      // IWYU pragma: export
 #include "telemetry/report.hpp"    // IWYU pragma: export
 #include "telemetry/sample.hpp"    // IWYU pragma: export

@@ -95,6 +95,8 @@ const char* gauge_name(Gauge g) {
     case Gauge::kPoolTasksRun: return "pool_tasks_run";
     case Gauge::kPoolSteals: return "pool_steals";
     case Gauge::kPoolBusySeconds: return "pool_busy_seconds";
+    case Gauge::kPoolLentTasks: return "pool_lent_tasks";
+    case Gauge::kPoolLentSeconds: return "pool_lent_seconds";
     case Gauge::kCount: break;
   }
   return "?";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 
 namespace hotlib::util {
 
@@ -14,13 +15,19 @@ namespace {
 thread_local TaskPool* t_pool = nullptr;
 thread_local int t_worker = -1;
 
+std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count());
+}
+
 }  // namespace
 
 // One worker's deque. The owner pushes/pops at the back under the lane
-// mutex; thieves (other workers, or an external caller helping in wait)
-// pop at the front. A mutex per lane keeps the handoff a locked edge that
-// ThreadSanitizer can verify, and at tree-code grain sizes the lock is
-// almost always uncontended.
+// mutex; thieves (other workers, run_one() callers, or a waiter looking for
+// its own group's tasks) take from the front. A mutex per lane keeps the
+// handoff a locked edge that ThreadSanitizer can verify, and at tree-code
+// grain sizes the lock is almost always uncontended.
 struct TaskPool::Lane {
   std::mutex mu;
   std::deque<Task> dq;
@@ -53,6 +60,9 @@ TaskPool::Stats TaskPool::stats() const {
   s.steals = steals_.load(std::memory_order_relaxed);
   s.busy_seconds =
       static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  s.lent_tasks = lent_run_.load(std::memory_order_relaxed);
+  s.lent_seconds =
+      static_cast<double>(lent_ns_.load(std::memory_order_relaxed)) * 1e-9;
   return s;
 }
 
@@ -62,7 +72,7 @@ void TaskPool::submit(Task t) {
   if (workers_.empty()) {
     // Single-lane pool: run inline. The Group wrapper around every task
     // still does its bookkeeping, so spawn/wait semantics are unchanged.
-    t();
+    t.fn();
     return;
   }
   if (t_pool == this && t_worker >= 0) {
@@ -76,33 +86,38 @@ void TaskPool::submit(Task t) {
   wake_cv_.notify_one();
 }
 
-bool TaskPool::try_pop(int self, Task& out) {
+bool TaskPool::try_pop(int self, const Group* only, Task& out) {
+  const auto wanted = [only](const Task& t) { return only == nullptr || t.group == only; };
+  const auto take_back = [&](std::deque<Task>& dq) {
+    const auto it = std::find_if(dq.rbegin(), dq.rend(), wanted);
+    if (it == dq.rend()) return false;
+    out = std::move(*it);
+    dq.erase(std::next(it).base());
+    return true;
+  };
+  const auto take_front = [&](std::deque<Task>& dq) {
+    const auto it = std::find_if(dq.begin(), dq.end(), wanted);
+    if (it == dq.end()) return false;
+    out = std::move(*it);
+    dq.erase(it);
+    return true;
+  };
   const int nworkers = static_cast<int>(workers_.size());
   if (self >= 0) {
     Lane& lane = *workers_[static_cast<std::size_t>(self)];
     std::lock_guard lock(lane.mu);
-    if (!lane.dq.empty()) {
-      out = std::move(lane.dq.back());
-      lane.dq.pop_back();
-      return true;
-    }
+    if (take_back(lane.dq)) return true;
   }
   {
     std::lock_guard lock(inject_mu_);
-    if (!inject_.empty()) {
-      out = std::move(inject_.front());
-      inject_.pop_front();
-      return true;
-    }
+    if (take_front(inject_)) return true;
   }
   for (int k = 0; k < nworkers; ++k) {
     const int victim = self >= 0 ? (self + 1 + k) % nworkers : k;
     if (victim == self) continue;
     Lane& lane = *workers_[static_cast<std::size_t>(victim)];
     std::lock_guard lock(lane.mu);
-    if (!lane.dq.empty()) {
-      out = std::move(lane.dq.front());
-      lane.dq.pop_front();
+    if (take_front(lane.dq)) {
       steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
@@ -116,16 +131,12 @@ void TaskPool::worker_loop(int index) {
   Task t;
   int idle_spins = 0;
   while (true) {
-    if (try_pop(index, t)) {
+    if (try_pop(index, nullptr, t)) {
       idle_spins = 0;
       const auto t0 = std::chrono::steady_clock::now();
-      t();  // exceptions are caught by the Group wrapper around every task
-      t = nullptr;
-      const auto t1 = std::chrono::steady_clock::now();
-      busy_ns_.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()),
-          std::memory_order_relaxed);
+      t.fn();  // exceptions are caught by the Group wrapper around every task
+      t.fn = nullptr;
+      busy_ns_.fetch_add(ns_since(t0), std::memory_order_relaxed);
       tasks_run_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -146,11 +157,12 @@ void TaskPool::help_while(Group& g) {
   const int self = (t_pool == this) ? t_worker : -1;
   Task t;
   while (g.pending_.load(std::memory_order_acquire) != 0) {
-    if (try_pop(self, t)) {
-      // May be a task of another group (we help the whole pool, which is
-      // what makes nested waits deadlock-free); it decrements its own group.
-      t();
-      t = nullptr;
+    // Only g's own tasks: a wait never runs work it is not waiting for.
+    // When none is queued, every unfinished task of g is running on some
+    // thread that will finish it, so sleeping here cannot deadlock.
+    if (try_pop(self, &g, t)) {
+      t.fn();
+      t.fn = nullptr;
       continue;
     }
     std::unique_lock lock(g.done_mu_);
@@ -164,13 +176,23 @@ void TaskPool::help_while(Group& g) {
   std::lock_guard lock(g.done_mu_);
 }
 
+bool TaskPool::run_one() {
+  Task t;
+  if (!try_pop(t_pool == this ? t_worker : -1, nullptr, t)) return false;
+  const auto t0 = std::chrono::steady_clock::now();
+  t.fn();
+  lent_ns_.fetch_add(ns_since(t0), std::memory_order_relaxed);
+  lent_run_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 TaskPool::Group::~Group() {
   if (!waited_) pool_.help_while(*this);  // drain; any stored error is dropped
 }
 
 void TaskPool::Group::spawn(std::function<void()> fn) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  pool_.submit([this, fn = std::move(fn)]() mutable {
+  pool_.submit({this, [this, fn = std::move(fn)]() mutable {
     try {
       fn();
     } catch (...) {
@@ -184,7 +206,7 @@ void TaskPool::Group::spawn(std::function<void()> fn) {
     std::lock_guard lock(done_mu_);
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
       done_cv_.notify_all();
-  });
+  }});
 }
 
 void TaskPool::Group::wait() {

@@ -46,6 +46,8 @@ class TaskPool {
     std::uint64_t tasks_executed = 0;  // tasks run on worker threads
     std::uint64_t steals = 0;          // tasks taken from another lane's deque
     double busy_seconds = 0.0;         // summed worker time spent inside tasks
+    std::uint64_t lent_tasks = 0;      // tasks run by run_one() callers
+    double lent_seconds = 0.0;         // summed time of those tasks
   };
 
   // `concurrency` lanes total: concurrency-1 worker threads plus the caller.
@@ -59,12 +61,16 @@ class TaskPool {
   int concurrency() const { return static_cast<int>(workers_.size()) + 1; }
   Stats stats() const;
 
-  // A join scope: spawn any number of tasks, then wait() once. wait() helps
-  // execute queued tasks instead of blocking, so nested groups (a task that
-  // spawns and waits on subtasks) cannot deadlock the pool. The first
-  // exception thrown by any task is captured and rethrown from wait();
-  // remaining tasks still run to completion. The destructor waits (and
-  // swallows the exception) if wait() was never called.
+  // A join scope: spawn any number of tasks, then wait() once. wait() runs
+  // the group's own queued tasks on the calling thread instead of blocking,
+  // and never another group's: a 4-point query's wait cannot end up running
+  // a simulation step's chunks. Nested groups (a task that spawns and waits
+  // on subtasks) still cannot deadlock the pool: a task of the waited group
+  // that is not queued is running on some thread, which finishes it — its
+  // own nested waits bottom out the same way. The first exception thrown by
+  // any task is captured and rethrown from wait(); remaining tasks still run
+  // to completion. The destructor waits (and swallows the exception) if
+  // wait() was never called.
   class Group {
    public:
     explicit Group(TaskPool& pool) : pool_(pool) {}
@@ -121,6 +127,14 @@ class TaskPool {
     g.wait();
   }
 
+  // Run one queued task of any group on the calling thread; false when
+  // nothing is queued (always, on a one-lane pool, which runs tasks inline).
+  // This is how a thread with nothing of its own to do lends itself to the
+  // pool — the serve pump calls it when idle — and the only way a thread
+  // outside the worker loop runs another group's task. Lent tasks count in
+  // Stats::lent_tasks / lent_seconds, not in the worker totals.
+  bool run_one();
+
   // Worker index of the calling thread in its pool: 0..concurrency-2 for
   // pool workers, -1 for every other thread (including the submitting
   // caller). Stable per thread for the pool's lifetime.
@@ -135,7 +149,9 @@ class TaskPool {
   // Replace the global pool (waits for the old one's workers to finish).
   // `concurrency` < 1 re-reads HOTLIB_THREADS. Callers must be quiescent —
   // this exists for the determinism sweep in tests and the bench --threads
-  // sweep, both of which own the whole process.
+  // sweep, both of which own the whole process. A running
+  // serve::SimulationService is never quiescent: its idle pump lends itself
+  // to the global pool, so stop the service first.
   static void set_global_concurrency(int concurrency);
   // HOTLIB_THREADS parsed and clamped to [1, 512]; hardware concurrency
   // when unset or unparsable.
@@ -143,10 +159,18 @@ class TaskPool {
 
  private:
   struct Lane;
-  using Task = std::function<void()>;
+  // A queued task remembers its group, so a wait can pick out its own.
+  struct Task {
+    Group* group = nullptr;
+    std::function<void()> fn;
+  };
 
   void worker_loop(int index);
-  bool try_pop(int self, Task& out);  // self = -1 for external threads
+  // Take a queued task: the back of the caller's own deque, then the front
+  // of the injector, then the front of the other lanes. `only` restricts
+  // the search to one group's tasks; nullptr takes any. self = -1 for
+  // external threads.
+  bool try_pop(int self, const Group* only, Task& out);
   void submit(Task t);
   void help_while(Group& g);
 
@@ -163,6 +187,8 @@ class TaskPool {
   std::atomic<std::uint64_t> tasks_run_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
+  std::atomic<std::uint64_t> lent_run_{0};
+  std::atomic<std::uint64_t> lent_ns_{0};
 };
 
 }  // namespace hotlib::util

@@ -94,7 +94,10 @@ TEST(FaultDifferential, FaultedForcesBitIdenticalToFaultFree) {
 // deterministic traversal statistics across repeated runs. Catches hidden
 // wall-clock, iteration-order or scheduling dependence. (Timing-dependent
 // stats — suspensions, cache hits, retransmits — are legitimately run-to-run
-// variable and deliberately excluded.)
+// variable and deliberately excluded. So is the AM record total: a rank that
+// sits idle for 64 rounds re-requests its pending keys, and how often that
+// happens depends on how the rank threads interleave. Each run still posts
+// and dispatches every record exactly once.)
 TEST(FaultDifferential, RepeatedRunsAreBitIdentical) {
   Scenario sc;
   sc.n = 800;
@@ -111,7 +114,6 @@ TEST(FaultDifferential, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(a.traversal.tally.mac_tests, b.traversal.tally.mac_tests);
   EXPECT_EQ(a.traversal.tally.cells_opened, b.traversal.tally.cells_opened);
   EXPECT_EQ(a.traversal.crown_cells, b.traversal.crown_cells);
-  EXPECT_EQ(a.am_posted, b.am_posted);
   expect_exactly_once(a);
   expect_exactly_once(b);
 }

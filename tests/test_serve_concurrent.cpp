@@ -13,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "serve/service.hpp"
 #include "telemetry/trace.hpp"
 #include "util/rng.hpp"
+#include "util/task_pool.hpp"
 
 namespace hotlib::serve {
 namespace {
@@ -372,6 +375,40 @@ TEST(ServeConcurrent, MetricsScrapeUnderLoadIsMonotoneAndNonPerturbing) {
 
   telemetry::set_enabled(false);
   telemetry::Registry::instance().reset();
+}
+
+// An idle pump lends itself to the global pool. The pool's only worker is
+// held on a latch and this thread does not wait on the group, so nobody but
+// the pump can run the second queued task; the lent-task gauge in the
+// metrics snapshot records it.
+TEST(ServeConcurrent, IdlePumpLendsItselfToThePool) {
+  util::TaskPool::set_global_concurrency(2);  // the service is not running yet
+  SimulationService::Config cfg;
+  cfg.auto_step = false;
+  cfg.sims.push_back(sim_config());
+  SimulationService svc(cfg);
+  util::TaskPool& pool = util::TaskPool::global();
+  std::latch worker_held(1), release(1);
+  std::promise<std::thread::id> lent;
+  std::future<std::thread::id> ran_on = lent.get_future();
+  util::TaskPool::Group g(pool);
+  g.spawn([&] {
+    worker_held.count_down();
+    release.wait();
+  });
+  worker_held.wait();
+  g.spawn([&] { lent.set_value(std::this_thread::get_id()); });
+  svc.start();
+  const bool ran = ran_on.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.count_down();
+  g.wait();  // runs the second task here if the pump never did
+  const MetricsSnapshot m = svc.metrics();
+  svc.stop();
+  ASSERT_TRUE(ran) << "the idle pump never ran the queued task";
+  EXPECT_NE(ran_on.get(), std::this_thread::get_id());
+  EXPECT_GE(pool.stats().lent_tasks, 1u);
+  EXPECT_GE(m.gauges[static_cast<std::size_t>(telemetry::Gauge::kPoolLentTasks)], 1.0);
+  util::TaskPool::set_global_concurrency(0);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <random>
@@ -94,28 +96,100 @@ TEST(TaskPool, ChunkBoundariesIndependentOfLaneCount) {
   EXPECT_EQ(per_lanes[0], per_lanes[2]);
 }
 
+// Recursive divide-and-conquer with a Group per node: every level spawns two
+// halves and waits on its own group only.
+std::uint64_t recursive_sum(TaskPool& p, std::uint64_t lo, std::uint64_t hi) {
+  if (hi - lo <= 64) {
+    std::uint64_t s = 0;
+    for (std::uint64_t i = lo; i < hi; ++i) s += i;
+    return s;
+  }
+  const std::uint64_t mid = lo + (hi - lo) / 2;
+  std::uint64_t left = 0, right = 0;
+  TaskPool::Group g(p);
+  g.spawn([&] { left = recursive_sum(p, lo, mid); });
+  g.spawn([&] { right = recursive_sum(p, mid, hi); });
+  g.wait();
+  return left + right;
+}
+
 TEST(TaskPool, NestedSpawnRecursiveSum) {
-  // Recursive divide-and-conquer with a Group per node: exercises workers
-  // waiting on groups while helping (the nested-wait path).
+  // Exercises workers waiting on groups while running their tasks (the
+  // nested-wait path).
   TaskPool pool(4);
-  struct Rec {
-    static std::uint64_t sum(TaskPool& p, std::uint64_t lo, std::uint64_t hi) {
-      if (hi - lo <= 64) {
-        std::uint64_t s = 0;
-        for (std::uint64_t i = lo; i < hi; ++i) s += i;
-        return s;
-      }
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      std::uint64_t left = 0, right = 0;
-      TaskPool::Group g(p);
-      g.spawn([&] { left = sum(p, lo, mid); });
-      g.spawn([&] { right = sum(p, mid, hi); });
-      g.wait();
-      return left + right;
-    }
-  };
   const std::uint64_t n = 100000;
-  EXPECT_EQ(Rec::sum(pool, 0, n), n * (n - 1) / 2);
+  EXPECT_EQ(recursive_sum(pool, 0, n), n * (n - 1) / 2);
+}
+
+TEST(TaskPool, NestedWaitsFromSeveralCallersFinish) {
+  // Four recursive trees share one 4-lane pool, so every deque holds other
+  // trees' tasks. Each wait still runs only its own group's tasks and still
+  // finishes: a task of its group that is not queued is running on some
+  // thread, and that thread finishes it.
+  TaskPool pool(4);
+  const std::uint64_t n = 50000;
+  std::vector<std::uint64_t> sums(4, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 1; c < sums.size(); ++c)
+    callers.emplace_back([&, c] { sums[c] = recursive_sum(pool, 0, n); });
+  sums[0] = recursive_sum(pool, 0, n);
+  for (std::thread& t : callers) t.join();
+  for (const std::uint64_t s : sums) EXPECT_EQ(s, n * (n - 1) / 2);
+}
+
+TEST(TaskPool, WaitNeverRunsAnotherGroupsTask) {
+  // One worker: group A's first task holds it on a latch, and A's second
+  // task is queued ahead of B's. B's wait must run B's task on this thread
+  // and return without running A's.
+  TaskPool pool(2);
+  std::latch a_running(1), release(1);
+  std::atomic<bool> a_second_ran{false};
+  TaskPool::Group a(pool);
+  a.spawn([&] {
+    a_running.count_down();
+    release.wait();
+  });
+  a_running.wait();
+  a.spawn([&] { a_second_ran.store(true); });
+  std::thread::id b_ran_on;
+  TaskPool::Group b(pool);
+  b.spawn([&] { b_ran_on = std::this_thread::get_id(); });
+  b.wait();
+  EXPECT_FALSE(a_second_ran.load());
+  EXPECT_EQ(b_ran_on, std::this_thread::get_id());
+  release.count_down();
+  a.wait();
+  EXPECT_TRUE(a_second_ran.load());
+}
+
+TEST(TaskPool, RunOneRunsAQueuedTaskOfAnyGroup) {
+  TaskPool inline_pool(1);
+  EXPECT_FALSE(inline_pool.run_one());
+  TaskPool::Group inline_group(inline_pool);
+  inline_group.spawn([] {});  // ran inline: nothing is ever queued
+  EXPECT_FALSE(inline_pool.run_one());
+  inline_group.wait();
+
+  TaskPool pool(2);
+  EXPECT_FALSE(pool.run_one());  // idle pool
+  std::latch running(1), release(1);
+  TaskPool::Group g(pool);
+  g.spawn([&] {
+    running.count_down();
+    release.wait();
+  });
+  running.wait();
+  std::thread::id ran_on;
+  g.spawn([&] { ran_on = std::this_thread::get_id(); });
+  // This thread does not wait on g, yet run_one lends it to g's queued task.
+  EXPECT_TRUE(pool.run_one());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(pool.run_one());
+  release.count_down();
+  g.wait();
+  const TaskPool::Stats st = pool.stats();
+  EXPECT_EQ(st.lent_tasks, 1u);
+  EXPECT_GE(st.lent_seconds, 0.0);
 }
 
 TEST(TaskPool, ExceptionPropagatesFromWait) {
@@ -185,8 +259,9 @@ TEST(TaskPool, StatsAccumulate) {
   const TaskPool::Stats before = pool.stats();
   pool.parallel_for(1000, 10, [](std::size_t, std::size_t) {});
   const TaskPool::Stats after = pool.stats();
-  // The caller helps, so workers need not have run all 100 chunks — but the
-  // totals never go backwards and busy time is finite.
+  // The waiting caller runs queued chunks of its own group too, so workers
+  // need not have run all 100 — but the totals never go backwards and busy
+  // time is finite.
   EXPECT_GE(after.tasks_executed, before.tasks_executed);
   EXPECT_GE(after.steals, before.steals);
   EXPECT_GE(after.busy_seconds, before.busy_seconds);

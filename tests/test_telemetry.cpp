@@ -5,11 +5,15 @@
 // run-report/Chrome-trace exporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "gravity/evaluator.hpp"
 #include "gravity/models.hpp"
@@ -335,6 +339,42 @@ TEST_F(TelemetryTest, ParcPollProducesHealthSamples) {
   for (const RankChannel* ch : Registry::instance().channels())
     total_samples += ch->samples().size();
   EXPECT_GT(total_samples, 0u);
+}
+
+// ---- latency histogram -----------------------------------------------------
+
+// The serving layer's one latency histogram: on a fixed seeded sample that
+// spans four decades plus a tail, p50, p99 and p99.9 are never below the
+// exact nearest-rank value and at most one bucket above it; max is exact.
+TEST(LatencyHistogram, PercentilesWithinOneBucketOfExactNearestRank) {
+  std::mt19937_64 rng(20240611);
+  std::vector<double> v;
+  LatencyHistogram h;
+  for (int i = 0; i < 20000; ++i) {
+    const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    const double x = i % 500 == 0 ? 2.0e4 + 1.0e3 * u : 5.0 * std::exp(9.0 * u);
+    v.push_back(x);
+    h.record(x);
+  }
+  std::sort(v.begin(), v.end());
+  EXPECT_EQ(h.count(), v.size());
+  EXPECT_DOUBLE_EQ(h.max(), v.back());
+  for (const double p : {50.0, 99.0, 99.9}) {
+    const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(v.size())));
+    const double exact = v[rank - 1];
+    const double got = h.percentile(p);
+    EXPECT_GE(got, exact) << "p" << p;
+    EXPECT_LE(LatencyHistogram::bucket_of(got) - LatencyHistogram::bucket_of(exact), 1)
+        << "p" << p << " got " << got << " exact " << exact;
+  }
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), v.back());
+  EXPECT_DOUBLE_EQ(LatencyHistogram{}.percentile(50.0), 0.0);
+  // Bucket edges: every bucket is at most 1/kSubBuckets of its values wide.
+  for (int b = 1; b < LatencyHistogram::kBuckets; ++b) {
+    const double lo = LatencyHistogram::bucket_upper(b - 1), hi = LatencyHistogram::bucket_upper(b);
+    ASSERT_EQ(LatencyHistogram::bucket_of(lo), b);
+    ASSERT_LE((hi - lo) / lo, 1.0 / LatencyHistogram::kSubBuckets);
+  }
 }
 
 // ---- strict JSON parser ----------------------------------------------------
