@@ -113,12 +113,13 @@ void BM_BatchPP(benchmark::State& state) {
   Xoshiro256ss rng(2);
   const Vec3d xi = rng.in_cube() + Vec3d{2, 2, 2};
   gravity::InteractionBatch batch;
+  batch.resize(n, 0, false);
   std::vector<Vec3d> pos(n);
   std::vector<double> mass(n);
   for (std::size_t j = 0; j < n; ++j) {
     pos[j] = rng.in_cube();
     mass[j] = 0.001;
-    batch.add_body(pos[j], mass[j]);
+    batch.set_body(j, pos[j], mass[j]);
   }
   const double eps2 = 1e-4;
   const gravity::BatchPath prev = gravity::batch_path();
@@ -163,7 +164,7 @@ void BM_BatchPC(benchmark::State& state) {
   Xoshiro256ss rng(3);
   const Vec3d xi = rng.in_cube() + Vec3d{2, 2, 2};
   gravity::InteractionBatch batch;
-  batch.use_quad = quad;
+  batch.resize(0, n, quad);
   std::vector<Vec3d> com(n);
   std::vector<double> mass(n);
   std::vector<std::array<double, 6>> quads(n);
@@ -171,7 +172,7 @@ void BM_BatchPC(benchmark::State& state) {
     com[j] = rng.in_cube();
     mass[j] = 1.0;
     quads[j] = {0.1, 0.02, -0.01, -0.05, 0.03, -0.05};
-    batch.add_cell(com[j], mass[j], quads[j]);
+    batch.set_cell(j, com[j], mass[j], quads[j]);
   }
   const double eps2 = 1e-4;
   const gravity::BatchPath prev = gravity::batch_path();

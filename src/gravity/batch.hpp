@@ -47,8 +47,13 @@ inline constexpr std::size_t kNoSelf = static_cast<std::size_t>(-1);
 
 // Structure-of-arrays gather buffer for one sink group's interaction list:
 // particle sources (x/y/z/m) and cell sources (com, mass and — when
-// use_quad — the six trace-free quadrupole lanes). clear() keeps capacity so
-// one batch can be reused across groups without reallocating.
+// use_quad — the six trace-free quadrupole lanes). resize() sizes every lane
+// once, keeping capacity, so one batch can be reused across groups without
+// reallocating; set_body()/set_cell() then write every slot.
+// add_body()/add_cell() (after reserve_bodies()) are the older append path.
+// Only perfbench's kernel_probe and rms_rel_force_error and the kernel tests
+// still build with it; perfbench changes only together with the benchmark
+// definition, and the append path goes when it moves to resize().
 struct InteractionBatch {
   // Particle-particle source lanes.
   std::vector<double> px, py, pz, pm;
@@ -60,14 +65,35 @@ struct InteractionBatch {
   std::size_t body_count() const { return pm.size(); }
   std::size_t cell_count() const { return cm.size(); }
 
-  void clear() {
-    px.clear(); py.clear(); pz.clear(); pm.clear();
-    cx.clear(); cy.clear(); cz.clear(); cm.clear();
-    for (auto& q : cq) q.clear();
-  }
-
   void reserve_bodies(std::size_t n) {
     px.reserve(n); py.reserve(n); pz.reserve(n); pm.reserve(n);
+  }
+
+  // Sizes every lane for `nbodies` particle and `ncells` cell sources and
+  // sets use_quad = quad: the quad lanes get `ncells` slots when quad and
+  // none otherwise. Every slot must then be written with set_body/set_cell.
+  void resize(std::size_t nbodies, std::size_t ncells, bool quad) {
+    use_quad = quad;
+    px.resize(nbodies); py.resize(nbodies); pz.resize(nbodies); pm.resize(nbodies);
+    cx.resize(ncells); cy.resize(ncells); cz.resize(ncells); cm.resize(ncells);
+    for (auto& q : cq) q.resize(use_quad ? ncells : 0);
+  }
+
+  void set_body(std::size_t k, const Vec3d& x, double m) {
+    px[k] = x.x;
+    py[k] = x.y;
+    pz[k] = x.z;
+    pm[k] = m;
+  }
+
+  void set_cell(std::size_t k, const Vec3d& com, double m,
+                const std::array<double, 6>& quad) {
+    cx[k] = com.x;
+    cy[k] = com.y;
+    cz[k] = com.z;
+    cm[k] = m;
+    if (use_quad)
+      for (std::size_t q = 0; q < 6; ++q) cq[q][k] = quad[q];
   }
 
   // Appends a particle source; returns its slot (for self-term skipping).
@@ -98,23 +124,20 @@ struct BiotSavartBatch {
 
   std::size_t size() const { return x.size(); }
 
-  void clear() {
-    x.clear(); y.clear(); z.clear();
-    ax.clear(); ay.clear(); az.clear();
+  // Sizes every lane for `n` sources, keeping capacity; every slot must then
+  // be written with set().
+  void resize(std::size_t n) {
+    x.resize(n); y.resize(n); z.resize(n);
+    ax.resize(n); ay.resize(n); az.resize(n);
   }
 
-  void reserve(std::size_t n) {
-    x.reserve(n); y.reserve(n); z.reserve(n);
-    ax.reserve(n); ay.reserve(n); az.reserve(n);
-  }
-
-  void add(const Vec3d& pos, const Vec3d& alpha) {
-    x.push_back(pos.x);
-    y.push_back(pos.y);
-    z.push_back(pos.z);
-    ax.push_back(alpha.x);
-    ay.push_back(alpha.y);
-    az.push_back(alpha.z);
+  void set(std::size_t k, const Vec3d& pos, const Vec3d& alpha) {
+    x[k] = pos.x;
+    y[k] = pos.y;
+    z[k] = pos.z;
+    ax[k] = alpha.x;
+    ay[k] = alpha.y;
+    az[k] = alpha.z;
   }
 };
 

@@ -28,10 +28,10 @@ InteractionTally direct_forces(std::span<const Vec3d> pos, std::span<const doubl
   const double eps2 = eps * eps;
   InteractionTally tally;
   // Gather all sources once; every sink sees the same batch and skips its
-  // own slot (slot == index because bodies are appended in order).
+  // own slot (slot == index).
   InteractionBatch batch;
-  batch.reserve_bodies(n);
-  for (std::size_t j = 0; j < n; ++j) batch.add_body(pos[j], mass[j]);
+  batch.resize(n, 0, false);
+  for (std::size_t j = 0; j < n; ++j) batch.set_body(j, pos[j], mass[j]);
   util::TaskPool& pool = util::TaskPool::global();
   pool.parallel_for(n, sink_grain(n, pool.concurrency()),
                     [&](std::size_t lo, std::size_t hi) {
@@ -80,9 +80,9 @@ InteractionTally ring_direct_forces(parc::Rank& rank, std::span<const Vec3d> pos
     // stage the block is our own: skip the self pair by slot (slot == index
     // because the block is gathered in order).
     const bool self_stage = (s == 0);
-    batch.clear();
-    batch.reserve_bodies(travel.size());
-    for (const Source& src : travel) batch.add_body(src.pos, src.mass);
+    batch.resize(travel.size(), 0, false);
+    for (std::size_t j = 0; j < travel.size(); ++j)
+      batch.set_body(j, travel[j].pos, travel[j].mass);
     util::TaskPool& pool = util::TaskPool::global();
     pool.parallel_for(n, sink_grain(n, pool.concurrency()),
                       [&](std::size_t lo, std::size_t hi) {

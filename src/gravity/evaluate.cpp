@@ -1,7 +1,6 @@
 #include "gravity/evaluate.hpp"
 
 #include <cassert>
-#include <vector>
 
 #include "telemetry/trace.hpp"
 
@@ -10,23 +9,26 @@ namespace hotlib::gravity {
 void gather_interaction_batch(const hot::Tree& tree, const hot::InteractionLists& lists,
                               std::span<const Vec3d> pos, std::span<const double> mass,
                               bool quadrupole, InteractionBatch& batch) {
-  batch.clear();
-  batch.use_quad = quadrupole;
-  batch.reserve_bodies(lists.bodies.size());
-  for (std::uint32_t j : lists.bodies) batch.add_body(pos[j], mass[j]);
+  batch.resize(lists.bodies.size(), lists.cells.size(), quadrupole);
+  for (std::size_t k = 0; k < lists.bodies.size(); ++k) {
+    const std::uint32_t j = lists.bodies[k];
+    batch.set_body(k, pos[j], mass[j]);
+  }
   const auto& cells = tree.cells();
-  for (std::uint32_t ci : lists.cells)
-    batch.add_cell(cells[ci].com, cells[ci].mass, cells[ci].quad);
+  for (std::size_t k = 0; k < lists.cells.size(); ++k) {
+    const hot::Cell& c = cells[lists.cells[k]];
+    batch.set_cell(k, c.com, c.mass, c.quad);
+  }
 }
 
 void gather_records(std::span<const hot::SourceRecord> bodies,
                     std::span<const hot::CellRecord> cells, bool quadrupole,
                     InteractionBatch& batch) {
-  batch.clear();
-  batch.use_quad = quadrupole;
-  batch.reserve_bodies(bodies.size());
-  for (const hot::SourceRecord& s : bodies) batch.add_body(s.pos, s.mass);
-  for (const hot::CellRecord& c : cells) batch.add_cell(c.com, c.mass, c.quad);
+  batch.resize(bodies.size(), cells.size(), quadrupole);
+  for (std::size_t k = 0; k < bodies.size(); ++k)
+    batch.set_body(k, bodies[k].pos, bodies[k].mass);
+  for (std::size_t k = 0; k < cells.size(); ++k)
+    batch.set_cell(k, cells[k].com, cells[k].mass, cells[k].quad);
 }
 
 InteractionTally evaluate_at(const hot::Tree& tree, std::span<const Vec3d> src_pos,
@@ -57,34 +59,6 @@ InteractionTally evaluate_at(const hot::Tree& tree, std::span<const Vec3d> src_p
         t.body_cell += lists.cells.size();
       });
   telemetry::count_tally(tally);
-  return tally;
-}
-
-InteractionTally evaluate_with_phantoms(std::span<const Vec3d> src_pos,
-                                        std::span<const double> src_mass,
-                                        const morton::Domain& domain,
-                                        hot::Tree::Config tree_cfg,
-                                        const TreeForceConfig& cfg,
-                                        std::span<const Vec3d> points,
-                                        std::span<Vec3d> acc, std::span<double> pot) {
-  assert(src_pos.size() == src_mass.size());
-  assert(points.size() == acc.size() && points.size() == pot.size());
-  const std::size_t n = src_pos.size(), m = points.size();
-  std::vector<Vec3d> all_pos(src_pos.begin(), src_pos.end());
-  all_pos.insert(all_pos.end(), points.begin(), points.end());
-  std::vector<double> all_mass(src_mass.begin(), src_mass.end());
-  all_mass.resize(n + m, 0.0);  // phantoms are massless
-
-  hot::Tree tree;
-  tree.build(all_pos, all_mass, domain, tree_cfg);
-  std::vector<Vec3d> all_acc(n + m);
-  std::vector<double> all_pot(n + m, 0.0);
-  const InteractionTally tally =
-      tree_forces(tree, all_pos, all_mass, cfg, all_acc, all_pot);
-  for (std::size_t i = 0; i < m; ++i) {
-    acc[i] = all_acc[n + i];
-    pot[i] = all_pot[n + i];
-  }
   return tally;
 }
 

@@ -40,8 +40,8 @@ InteractionTally direct_velocities(VortexParticles& p) {
   const double sigma2 = p.sigma * p.sigma;
   const std::size_t n = p.size();
   gravity::BiotSavartBatch batch;
-  batch.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) batch.add(p.pos[j], p.alpha[j]);
+  batch.resize(n);
+  for (std::size_t j = 0; j < n; ++j) batch.set(j, p.pos[j], p.alpha[j]);
   // Independent sinks over a shared read-only batch; disjoint vel/dalpha
   // slices per chunk, so any thread count gives bit-identical output.
   util::TaskPool& pool = util::TaskPool::global();
@@ -92,15 +92,22 @@ VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size) {
 namespace {
 
 // Bodies and accepted cells share the Biot-Savart kernel, so one batch
-// carries both: particle sources first (list order), then cell centroids
-// with their summed vector strengths.
+// carries both, sized once: particle sources in slots [0, nb) (list order),
+// then cell centroids with their summed vector strengths.
 void gather_biot_savart(const VortexTree& vt, const VortexParticles& p,
                         const hot::InteractionLists& lists,
                         gravity::BiotSavartBatch& batch) {
-  batch.clear();
-  batch.reserve(lists.bodies.size() + lists.cells.size());
-  for (std::uint32_t j : lists.bodies) batch.add(p.pos[j], p.alpha[j]);
-  for (std::uint32_t ci : lists.cells) batch.add(vt.tree.cells()[ci].com, vt.cell_alpha[ci]);
+  const std::size_t nb = lists.bodies.size();
+  batch.resize(nb + lists.cells.size());
+  for (std::size_t k = 0; k < nb; ++k) {
+    const std::uint32_t j = lists.bodies[k];
+    batch.set(k, p.pos[j], p.alpha[j]);
+  }
+  const auto& cells = vt.tree.cells();
+  for (std::size_t k = 0; k < lists.cells.size(); ++k) {
+    const std::uint32_t ci = lists.cells[k];
+    batch.set(nb + k, cells[ci].com, vt.cell_alpha[ci]);
+  }
 }
 
 }  // namespace
@@ -158,23 +165,6 @@ InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticle
         t.body_body += lists.bodies.size();
         t.body_cell += lists.cells.size();
       });
-}
-
-InteractionTally evaluate_velocity_with_phantoms(const VortexParticles& p,
-                                                 const hot::Mac& mac,
-                                                 std::span<const Vec3d> points,
-                                                 std::span<Vec3d> vel, int bucket_size) {
-  assert(points.size() == vel.size());
-  const std::size_t n = p.size(), m = points.size();
-  VortexParticles all = p;
-  all.resize(n + m);
-  for (std::size_t i = 0; i < m; ++i) {
-    all.pos[n + i] = points[i];
-    all.alpha[n + i] = Vec3d{};  // phantoms carry zero strength
-  }
-  const InteractionTally tally = tree_velocities(all, mac, bucket_size);
-  for (std::size_t i = 0; i < m; ++i) vel[i] = all.vel[n + i];
-  return tally;
 }
 
 void step_euler(VortexParticles& p, double dt, const hot::Mac& mac) {

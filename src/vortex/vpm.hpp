@@ -83,20 +83,13 @@ VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size = 16);
 // Velocity induced at arbitrary positions: one degenerate point-sink walk
 // per query (hot::build_point_interaction_lists) against a prebuilt vortex
 // tree. Query points carry no strength, so there is no stretching output.
-// Overwrites `vel`; deterministic at every thread count.
+// Overwrites `vel`; deterministic at every thread count. Its reference
+// semantics, zero-strength phantom particles appended at `points` and run
+// through tree_velocities, lives with the tests
+// (evaluate_velocity_with_phantoms in tests/test_vortex.cpp).
 InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticles& p,
                                       const hot::Mac& mac, std::span<const Vec3d> points,
                                       std::span<Vec3d> vel);
-
-// Reference semantics: append zero-strength phantom particles at `points`,
-// run tree_velocities over the combined set and return the phantoms'
-// velocities — bit-identical to inserting the phantoms by hand (pinned by a
-// regression test, like gravity::evaluate_with_phantoms).
-InteractionTally evaluate_velocity_with_phantoms(const VortexParticles& p,
-                                                 const hot::Mac& mac,
-                                                 std::span<const Vec3d> points,
-                                                 std::span<Vec3d> vel,
-                                                 int bucket_size = 16);
 
 // Forward-Euler convection + stretching step (the production code uses RK2;
 // step_rk2 below does the same with a midpoint evaluation).

@@ -2,15 +2,21 @@
 // differential checks of the scalar batch path against the per-pair kernels
 // (bit-identical by construction), the AVX2 path against the scalar path
 // (2 ulp — only accumulation order differs), self-slot handling including
-// coincident unsoftened sinks, and flop-tally exactness across paths.
+// coincident unsoftened sinks, flop-tally exactness across paths, and the
+// one-pass list gathers against the incremental add_body/add_cell build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gravity/batch.hpp"
 #include "gravity/direct.hpp"
+#include "gravity/evaluate.hpp"
 #include "gravity/evaluator.hpp"
 #include "gravity/kernels.hpp"
 #include "gravity/models.hpp"
@@ -111,15 +117,16 @@ TEST(Batch, ScalarBiotSavartBitIdenticalToPerPair) {
   PathGuard guard;
   force_batch_path(BatchPath::kScalar);
   Xoshiro256ss rng(13);
-  BiotSavartBatch batch;
   std::vector<Vec3d> pos, alpha;
   for (std::size_t j = 0; j < kN; ++j) {
     pos.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
                    rng.uniform(0.0, 1.0)});
     alpha.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                      rng.uniform(-1.0, 1.0)});
-    batch.add(pos.back(), alpha.back());
   }
+  BiotSavartBatch batch;
+  batch.resize(kN);
+  for (std::size_t j = 0; j < kN; ++j) batch.set(j, pos[j], alpha[j]);
   const Vec3d xi{0.4, 0.5, 0.6};
   const Vec3d ai{0.3, -0.7, 0.2};
   const double sigma2 = 0.01;
@@ -345,6 +352,116 @@ TEST(Batch, PathNameMatchesPath) {
   if (batch_avx2_available()) {
     force_batch_path(BatchPath::kAvx2);
     EXPECT_STREQ(batch_path_name(), "avx2");
+  }
+}
+
+// Sizes and bit patterns of two lanes agree.
+bool same_lane(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+void expect_same_batch(const InteractionBatch& got, const InteractionBatch& want,
+                       const Vec3d& sink, const std::string& what) {
+  EXPECT_EQ(got.use_quad, want.use_quad) << what;
+  EXPECT_TRUE(same_lane(got.px, want.px)) << what;
+  EXPECT_TRUE(same_lane(got.py, want.py)) << what;
+  EXPECT_TRUE(same_lane(got.pz, want.pz)) << what;
+  EXPECT_TRUE(same_lane(got.pm, want.pm)) << what;
+  EXPECT_TRUE(same_lane(got.cx, want.cx)) << what;
+  EXPECT_TRUE(same_lane(got.cy, want.cy)) << what;
+  EXPECT_TRUE(same_lane(got.cz, want.cz)) << what;
+  EXPECT_TRUE(same_lane(got.cm, want.cm)) << what;
+  for (std::size_t q = 0; q < 6; ++q)
+    EXPECT_TRUE(same_lane(got.cq[q], want.cq[q])) << what << " quad lane " << q;
+  const double eps2 = 1e-4;
+  Vec3d a_got{}, a_want{};
+  double p_got = 0, p_want = 0;
+  batch_pp(got, sink, eps2, kNoSelf, a_got, p_got);
+  batch_pc(got, sink, eps2, a_got, p_got);
+  batch_pp(want, sink, eps2, kNoSelf, a_want, p_want);
+  batch_pc(want, sink, eps2, a_want, p_want);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a_got.x), std::bit_cast<std::uint64_t>(a_want.x))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a_got.y), std::bit_cast<std::uint64_t>(a_want.y))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a_got.z), std::bit_cast<std::uint64_t>(a_want.z))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p_got), std::bit_cast<std::uint64_t>(p_want))
+      << what;
+}
+
+TEST(Batch, GatherRefillMatchesIncrementalBuild) {
+  // One batch reused through the one-pass gathers must come out exactly as
+  // a fresh add_body/add_cell build of each list: a long quadrupole list,
+  // then shorter lists that must shrink every lane, drop the quad lanes and
+  // bring them back, then nothing at all.
+  const hot::Bodies b = plummer_sphere(4000, 41);
+  const morton::Domain domain = morton::bounding_domain(b.pos.data(), b.pos.size(), 0.05);
+  hot::Tree tree;
+  tree.build(b.pos, b.mass, domain, {.bucket_size = 16});
+  const auto& cells = tree.cells();
+  const std::vector<std::uint32_t> leaves = hot::leaf_indices(tree);
+  InteractionTally tally;
+
+  struct Step {
+    hot::InteractionLists lists;
+    bool quad = true;
+    Vec3d sink{};
+  };
+  std::vector<Step> steps(4);
+  // Long: the group walk of the leaf whose centre of mass is nearest the
+  // cluster centre.
+  std::uint32_t centre = leaves.front();
+  for (std::uint32_t li : leaves)
+    if (norm(cells[li].com) < norm(cells[centre].com)) centre = li;
+  hot::build_interaction_lists(tree, centre, hot::Mac{.theta = 0.3}, steps[0].lists, tally);
+  steps[0].sink = cells[centre].com + Vec3d{3.0, 0.0, 0.0};
+  // Short: point walks from outside the core with a wide opening angle.
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    steps[k].sink = Vec3d{1.5, static_cast<double>(k), -0.5};
+    hot::build_point_interaction_lists(tree, steps[k].sink, hot::Mac{.theta = 0.9},
+                                       steps[k].lists, tally);
+  }
+  steps[1].quad = false;
+  // Empty: no sources.
+  steps[3].sink = Vec3d{0.1, 0.2, 0.3};
+
+  const auto& first = steps[0].lists;
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    ASSERT_GT(steps[k].lists.bodies.size(), 0u) << k;
+    ASSERT_LT(steps[k].lists.bodies.size(), first.bodies.size()) << k;
+    ASSERT_LT(steps[k].lists.cells.size(), first.cells.size()) << k;
+  }
+
+  PathGuard guard;
+  for (BatchPath path : {BatchPath::kScalar, BatchPath::kAvx2}) {
+    if (path == BatchPath::kAvx2 && !batch_avx2_available()) continue;
+    force_batch_path(path);
+    InteractionBatch from_tree, from_records;
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const Step& st = steps[k];
+      const std::string what =
+          std::string(batch_path_name()) + " step " + std::to_string(k);
+      InteractionBatch fresh;
+      fresh.use_quad = st.quad;
+      std::vector<hot::SourceRecord> body_records;
+      std::vector<hot::CellRecord> cell_records;
+      for (std::uint32_t j : st.lists.bodies) {
+        fresh.add_body(b.pos[j], b.mass[j]);
+        body_records.push_back({b.pos[j], b.mass[j]});
+      }
+      for (std::uint32_t ci : st.lists.cells) {
+        const hot::Cell& c = cells[ci];
+        fresh.add_cell(c.com, c.mass, c.quad);
+        cell_records.push_back({c.com, c.mass, c.quad, c.b2, c.bmax});
+      }
+      gather_interaction_batch(tree, st.lists, b.pos, b.mass, st.quad, from_tree);
+      expect_same_batch(from_tree, fresh, st.sink, "tree " + what);
+      gather_records(body_records, cell_records, st.quad, from_records);
+      expect_same_batch(from_records, fresh, st.sink, "records " + what);
+    }
   }
 }
 

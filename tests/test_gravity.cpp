@@ -449,6 +449,36 @@ std::vector<Vec3d> query_points(std::size_t m, std::uint64_t seed) {
   return pts;
 }
 
+// The reference semantics of evaluate_at: build a tree over the sources plus
+// massless phantom bodies at `points` (all inside `domain`), run tree_forces
+// over the combined set and copy the phantoms' outputs into `acc`/`pot`. The
+// returned tally is the combined run's (phantom rows do real traversal work).
+InteractionTally evaluate_with_phantoms(std::span<const Vec3d> src_pos,
+                                        std::span<const double> src_mass,
+                                        const morton::Domain& domain,
+                                        hot::Tree::Config tree_cfg,
+                                        const TreeForceConfig& cfg,
+                                        std::span<const Vec3d> points,
+                                        std::span<Vec3d> acc, std::span<double> pot) {
+  const std::size_t n = src_pos.size(), m = points.size();
+  std::vector<Vec3d> all_pos(src_pos.begin(), src_pos.end());
+  all_pos.insert(all_pos.end(), points.begin(), points.end());
+  std::vector<double> all_mass(src_mass.begin(), src_mass.end());
+  all_mass.resize(n + m, 0.0);  // phantoms are massless
+
+  hot::Tree tree;
+  tree.build(all_pos, all_mass, domain, tree_cfg);
+  std::vector<Vec3d> all_acc(n + m);
+  std::vector<double> all_pot(n + m, 0.0);
+  const InteractionTally tally =
+      tree_forces(tree, all_pos, all_mass, cfg, all_acc, all_pot);
+  for (std::size_t i = 0; i < m; ++i) {
+    acc[i] = all_acc[n + i];
+    pot[i] = all_pot[n + i];
+  }
+  return tally;
+}
+
 TEST(EvaluateAt, WithPhantomsBitIdenticalToManualInsertion) {
   // The factored reference API must never drift from what literally
   // appending massless bodies to the source set produces.

@@ -197,9 +197,28 @@ TEST(Merge, ConcatenatesSets) {
 
 // ---- arbitrary-position velocity queries (serving layer) -------------------
 
+// The reference semantics of evaluate_velocity_at: append zero-strength
+// phantom particles at `points`, run tree_velocities over the combined set
+// and copy the phantoms' velocities into `vel`.
+InteractionTally evaluate_velocity_with_phantoms(const VortexParticles& p,
+                                                 const hot::Mac& mac,
+                                                 std::span<const Vec3d> points,
+                                                 std::span<Vec3d> vel) {
+  const std::size_t n = p.size(), m = points.size();
+  VortexParticles all = p;
+  all.resize(n + m);
+  for (std::size_t i = 0; i < m; ++i) {
+    all.pos[n + i] = points[i];
+    all.alpha[n + i] = Vec3d{};  // phantoms carry zero strength
+  }
+  const InteractionTally tally = tree_velocities(all, mac);
+  for (std::size_t i = 0; i < m; ++i) vel[i] = all.vel[n + i];
+  return tally;
+}
+
 TEST(EvaluateVelocity, WithPhantomsBitIdenticalToManualAppend) {
-  // Same pin as gravity::evaluate_with_phantoms: the factored API must match
-  // literally appending zero-strength particles at the query points and
+  // Same pin as test_gravity's evaluate_with_phantoms: the reference must
+  // match literally appending zero-strength particles at the query points and
   // running the ordinary treecode, bit for bit.
   const auto p = make_ring(300, 1.0, 2.0, {0, 0, 0}, {0, 0, 1}, 0.15);
   Xoshiro256ss rng(907);
