@@ -1,21 +1,17 @@
-// bench_hash — the concurrent cell index vs the retained reference table.
+// bench_hash — throughput of the concurrent cell index.
 //
 // The paper's HOT design stands on one structure: "a hash table is used in
 // order to translate the key into a pointer to the location where the cell
-// data are stored". PR 9 replaced that single-writer table with a concurrent
-// index (lock-free find, striped-lock insert, copy-grow); this harness holds
-// the swap to its two promises:
+// data are stored". The tree indexes its cells through a concurrent table
+// (lock-free find, striped-lock insert, copy-grow); this harness measures
 //
-//   1. Parity  — single-thread find/insert throughput within 10% of the old
-//      KeyHashTable (same Fibonacci hash, same layout discipline, the extra
-//      cost is one atomic table-pointer load plus the striped gauge tallies).
-//      Exported as find_overhead_pct / insert_overhead_pct and gated
-//      upper-bound-only against the committed baseline (perf-gate label), so
-//      a lookup regression fails CI.
-//   2. Scaling — reader throughput must not collapse as threads are added
+//   1. single-thread find and insert+grow rates (conc_*_per_s);
+//   2. reader scaling — throughput must not collapse as threads are added
 //      (find takes no locks), including while a writer storms inserts
-//      through copy-grows underneath. Exported as *_per_s rates.
+//      through copy-grows underneath (conc_find_t*_per_s, mixed_find_per_s,
+//      storm_insert_per_s).
 //
+// The rates are host-timed: the perf gate requires them present and finite.
 // Keys are harvested from a real tree build (actual Morton cell keys) and
 // padded with random keys, so probe-run shapes match production.
 #include <algorithm>
@@ -26,7 +22,6 @@
 
 #include "gravity/models.hpp"
 #include "hot/concurrent_hash_table.hpp"
-#include "hot/hash_table.hpp"
 #include "hot/tree.hpp"
 #include "morton/key.hpp"
 #include "telemetry/report.hpp"
@@ -66,7 +61,7 @@ int main() {
   const std::size_t nlookups = tiny ? 120000 : 2000000;
   const int reps = tiny ? 5 : 3;
 
-  std::printf("=== Concurrent cell index vs reference KeyHashTable ===\n\n");
+  std::printf("=== Concurrent cell index ===\n\n");
 
   // Key set: every cell key of a real tree build (true Morton distribution),
   // padded to nkeys with random odd keys. Miss probes are even keys.
@@ -88,63 +83,28 @@ int main() {
     stream[i] = (r & 3) == 0 ? ((r << 1) | 2) : keys[r % nkeys];
   }
 
-  // --- Section 1: single-thread parity -------------------------------------
-  hot::KeyHashTable ref(nkeys);
+  // --- Section 1: single-thread find and insert ----------------------------
   hot::ConcurrentKeyHashTable conc(nkeys);
-  for (std::uint64_t k : keys) {
-    ref.insert(k, value_of(k));
-    conc.insert(k, value_of(k));
-  }
+  for (std::uint64_t k : keys) conc.insert(k, value_of(k));
 
   std::uint32_t sink = 0;
-  const double ref_find_s = best_seconds(reps, [&] {
-    std::uint32_t acc = 0;
-    for (std::uint64_t k : stream) acc ^= ref.find(k);
-    sink ^= acc;
-  });
   const double conc_find_s = best_seconds(reps, [&] {
     std::uint32_t acc = 0;
     for (std::uint64_t k : stream) acc ^= conc.find(k);
     sink ^= acc;
   });
-  const double ref_find_rate = static_cast<double>(nlookups) / ref_find_s;
-  const double conc_find_rate = static_cast<double>(nlookups) / conc_find_s;
-  const double find_overhead =
-      std::max(0.0, (ref_find_rate / conc_find_rate - 1.0) * 100.0);
-
-  const double ref_insert_s = best_seconds(reps, [&] {
-    hot::KeyHashTable h(4);  // tiny start: the grow storm is the point
-    for (std::uint64_t k : keys) h.insert(k, value_of(k));
-    sink ^= static_cast<std::uint32_t>(h.capacity());
-  });
   const double conc_insert_s = best_seconds(reps, [&] {
-    hot::ConcurrentKeyHashTable h(4);
+    hot::ConcurrentKeyHashTable h(4);  // tiny start: the grow storm is the point
     for (std::uint64_t k : keys) h.insert(k, value_of(k));
     sink ^= static_cast<std::uint32_t>(h.capacity());
   });
-  const double ref_ins_rate = static_cast<double>(nkeys) / ref_insert_s;
+  const double conc_find_rate = static_cast<double>(nlookups) / conc_find_s;
   const double conc_ins_rate = static_cast<double>(nkeys) / conc_insert_s;
-  const double ins_overhead =
-      std::max(0.0, (ref_ins_rate / conc_ins_rate - 1.0) * 100.0);
-
-  TextTable parity({"op (1 thread)", "reference", "concurrent", "overhead"});
-  parity.add_row({"find", TextTable::num(ref_find_rate / 1e6, 1) + "M/s",
-                  TextTable::num(conc_find_rate / 1e6, 1) + "M/s",
-                  TextTable::num(find_overhead, 1) + "%"});
-  parity.add_row({"insert+grow", TextTable::num(ref_ins_rate / 1e6, 1) + "M/s",
-                  TextTable::num(conc_ins_rate / 1e6, 1) + "M/s",
-                  TextTable::num(ins_overhead, 1) + "%"});
-  std::printf("%zu keys (%zu real cell keys), %zu lookups, 25%% misses:\n%s\n",
-              nkeys, ncells, nlookups, parity.to_string().c_str());
-  std::printf("parity check (design target <= 10%%, gate bound is baseline+30pts): "
-              "find %.1f%% -> %s\n\n",
-              find_overhead, find_overhead <= 10.0 ? "ok" : "OVER");
-  session.metric("ref_find_per_s", ref_find_rate);
+  std::printf("%zu keys (%zu real cell keys), %zu lookups, 25%% misses, 1 thread:\n"
+              "  find %.1fM/s, insert+grow %.1fM/s\n\n",
+              nkeys, ncells, nlookups, conc_find_rate / 1e6, conc_ins_rate / 1e6);
   session.metric("conc_find_per_s", conc_find_rate);
-  session.metric("find_overhead_pct", find_overhead);
-  session.metric("ref_insert_per_s", ref_ins_rate);
   session.metric("conc_insert_per_s", conc_ins_rate);
-  session.metric("insert_overhead_pct", ins_overhead);
   telemetry::sample_now();
 
   // --- Section 2: reader scaling on a static table -------------------------
@@ -247,9 +207,7 @@ int main() {
 
   if (sink == 0xDEADBEEFu) std::printf(" \n");  // defeat whole-bench DCE
   std::printf(
-      "Shape checks: the concurrent table pays one atomic pointer load and two\n"
-      "relaxed tally adds per find — single-thread parity stays within a few\n"
-      "percent — while readers never take a lock, so aggregate find throughput\n"
+      "Shape checks: readers never take a lock, so aggregate find throughput\n"
       "grows with reader count and survives insert storms untouched.\n");
   return 0;
 }

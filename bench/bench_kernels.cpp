@@ -3,7 +3,7 @@
 // ("table lookup, Chebychev polynomial interpolation, and Newton-Raphson
 // iteration ... 38 floating point operations per interaction"), the
 // particle-particle and particle-cell interactions, Morton key generation,
-// the key hash table, and tree construction. Also carries the design
+// the concurrent cell index, and tree construction. Also carries the design
 // ablations: monopole vs quadrupole cell kernels, hash load factors and
 // tree bucket sizes.
 #include <benchmark/benchmark.h>
@@ -16,7 +16,7 @@
 #include "gravity/evaluator.hpp"
 #include "gravity/kernels.hpp"
 #include "gravity/models.hpp"
-#include "hot/hash_table.hpp"
+#include "hot/concurrent_hash_table.hpp"
 #include "hot/tree.hpp"
 #include "morton/key.hpp"
 #include "telemetry/report.hpp"
@@ -220,7 +220,7 @@ void BM_HashInsertFind(benchmark::State& state) {
   std::vector<std::uint64_t> keys(n);
   for (auto& k : keys) k = rng.next() | 1;
   for (auto _ : state) {
-    hot::KeyHashTable h(n);
+    hot::ConcurrentKeyHashTable h(n);
     for (std::size_t i = 0; i < n; ++i) h.insert(keys[i], static_cast<std::uint32_t>(i));
     std::uint32_t acc = 0;
     for (std::size_t i = 0; i < n; ++i) acc ^= h.find(keys[i]);

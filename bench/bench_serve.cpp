@@ -7,17 +7,16 @@
 // of steps, paced so stepping overlaps the whole query window. The headline
 // quantity is per-tenant tail latency: each tenant's p50/p99/max
 // admission-to-reply query latency comes from the service's TenantSession
-// and is exported as a gateable metric (upper-bounded by the perf gate, so
-// a tail-latency regression fails the gate but a faster machine never does).
+// and is exported as a report metric (host-timed, so the perf gate only
+// requires it present and finite).
 //
 // The replay runs twice: phase A with request tracing off (the headline
 // numbers), then a shorter phase B with clients sampling 1% of requests into
-// the distributed-trace plane. The throughput delta is exported as
-// trace_overhead_pct — upper-bounded only in the gate (the quantity is a
-// difference of two host-speed rates, so the baseline value is noise); the
-// design target is <= 2% wall overhead at 1% sampling on a quiet machine.
-// Phase A also dumps the service's slow-query log at shutdown, the same
-// worst-K ring a live operator scrapes over kMetricsRequest.
+// the distributed-trace plane. Phase B exports traced_queries_per_s and
+// prints its throughput delta against phase A: the cost of 1%-sampled
+// request tracing (design target <= 2% on a quiet machine). Phase A also
+// dumps the service's slow-query log at shutdown, the same worst-K ring a
+// live operator scrapes over kMetricsRequest.
 //
 // Determinism contract (what the perf-gate baseline relies on): the query
 // mix is a pure function of the per-client RNG seed, every client runs a
@@ -285,8 +284,8 @@ int main() {
   session.metric("slowlog_entries", static_cast<double>(a.metrics.slow.size()));
 
   // Phase B: same mix, quarter length, clients head-sampling 1% of requests
-  // into the trace plane. Shorter is fine — the phase only feeds the
-  // throughput-delta metric, not the latency percentiles.
+  // into the trace plane. Shorter is fine — the phase only measures traced
+  // throughput, not the latency percentiles.
   LoadConfig lb = lc;
   lb.ops_per_client = std::max<std::size_t>(lc.ops_per_client / 4, 200);
   lb.steps = std::max<std::uint64_t>(lc.steps / 4, 3);
@@ -304,7 +303,6 @@ int main() {
 
   session.metric("queries_per_s", a.qps);
   session.metric("traced_queries_per_s", b.qps);
-  session.metric("trace_overhead_pct", overhead);
   session.metric("sim_steps", static_cast<double>((lc.steps + lb.steps) * a.nsims));
   session.metric("busy_retries", static_cast<double>(a.busy + b.busy));
   telemetry::sample_now();

@@ -42,27 +42,6 @@ void fft(std::span<Complex> data, Direction dir) {
   }
 }
 
-std::vector<Complex> dft_reference(std::span<const Complex> data, Direction dir) {
-  const std::size_t n = data.size();
-  const double sign = (dir == Direction::Forward) ? -1.0 : 1.0;
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex acc(0, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang =
-          sign * 2.0 * std::numbers::pi * static_cast<double>(k * j) / static_cast<double>(n);
-      acc += data[j] * Complex(std::cos(ang), std::sin(ang));
-    }
-    out[k] = (dir == Direction::Inverse) ? acc / static_cast<double>(n) : acc;
-  }
-  return out;
-}
-
-void transpose_square(Complex* plane, int n) {
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j) std::swap(plane[i * n + j], plane[j * n + i]);
-}
-
 void fft3d(std::vector<Complex>& data, int nx, int ny, int nz, Direction dir) {
   assert(data.size() == static_cast<std::size_t>(nx) * ny * nz);
   if (!is_pow2(static_cast<std::size_t>(nx)) || !is_pow2(static_cast<std::size_t>(ny)) ||

@@ -25,14 +25,7 @@ constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 // 1/n normalization so that inverse(forward(x)) == x.
 void fft(std::span<Complex> data, Direction dir);
 
-// Out-of-place discrete Fourier transform by direct summation (O(n^2));
-// reference implementation used by the tests to validate fft().
-std::vector<Complex> dft_reference(std::span<const Complex> data, Direction dir);
-
 // In-place 3-D FFT of data[z][y][x] with x fastest; all dims powers of two.
 void fft3d(std::vector<Complex>& data, int nx, int ny, int nz, Direction dir);
-
-// Transpose a square plane held row-major (used by the 3-D kernels).
-void transpose_square(Complex* plane, int n);
 
 }  // namespace hotlib::fft

@@ -28,21 +28,4 @@ Vec3d total_momentum(const hot::Bodies& b) {
   return p;
 }
 
-Vec3d total_angular_momentum(const hot::Bodies& b) {
-  Vec3d l{};
-  for (std::size_t i = 0; i < b.size(); ++i)
-    l += b.mass[i] * cross(b.pos[i], b.vel[i]);
-  return l;
-}
-
-Vec3d center_of_mass(const hot::Bodies& b) {
-  Vec3d c{};
-  double m = 0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    c += b.mass[i] * b.pos[i];
-    m += b.mass[i];
-  }
-  return m > 0 ? c / m : c;
-}
-
 }  // namespace hotlib::gravity

@@ -18,9 +18,7 @@ double kinetic_energy(const hot::Bodies& b);
 // (each pair counted twice by the solvers, hence the factor 1/2).
 double potential_energy(const hot::Bodies& b);
 
-// Total momentum and angular momentum (conservation diagnostics).
+// Total momentum (conservation diagnostic).
 Vec3d total_momentum(const hot::Bodies& b);
-Vec3d total_angular_momentum(const hot::Bodies& b);
-Vec3d center_of_mass(const hot::Bodies& b);
 
 }  // namespace hotlib::gravity

@@ -42,16 +42,6 @@ hot::Bodies plummer_sphere(std::size_t n, std::uint64_t seed, double clip_radius
   return b;
 }
 
-hot::Bodies cold_sphere(std::size_t n, std::uint64_t seed, double radius,
-                        double total_mass) {
-  hot::Bodies b;
-  Xoshiro256ss rng(seed);
-  const double m = total_mass / static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i)
-    b.push_back(rng.in_sphere(radius), Vec3d{}, m, i);
-  return b;
-}
-
 hot::Bodies uniform_cube(std::size_t n, std::uint64_t seed, double total_mass) {
   hot::Bodies b;
   Xoshiro256ss rng(seed);

@@ -14,10 +14,6 @@ namespace hotlib::gravity {
 // r < clip_radius to keep the bounding domain compact.
 hot::Bodies plummer_sphere(std::size_t n, std::uint64_t seed, double clip_radius = 10.0);
 
-// Cold uniform sphere of radius r with zero velocities (collapse test).
-hot::Bodies cold_sphere(std::size_t n, std::uint64_t seed, double radius = 1.0,
-                        double total_mass = 1.0);
-
 // Uniform random cube in [0,1)^3, equal masses summing to total_mass.
 hot::Bodies uniform_cube(std::size_t n, std::uint64_t seed, double total_mass = 1.0);
 

@@ -47,8 +47,8 @@
 //     the scheme — never a block, and a matching pointer cannot be ABA since
 //     retired tables are only reclaimed at quiescence).
 //
-// Semantics vs the retained single-writer KeyHashTable (hash_table.hpp): the
-// two are behaviourally identical when used single-threaded — same Fibonacci
+// Semantics vs the single-writer KeyHashTable, the test oracle in
+// tests/key_hash_table.hpp: the two are behaviourally identical when used single-threaded — same Fibonacci
 // hash, same 0.7 load-factor trip point checked before duplicate detection,
 // same capacity trajectory, and the migration charges probes/operations the
 // way the old rehash did, so even the probe gauges match. The differential

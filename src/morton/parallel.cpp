@@ -4,7 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "morton/hilbert.hpp"
 #include "util/task_pool.hpp"
 
 namespace hotlib::morton {
@@ -25,16 +24,6 @@ void parallel_morton_keys(std::span<const Vec3d> pos, const Domain& d,
       pos.size(), kEncodeGrain, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
           out[i] = key_from_position(pos[i], d);
-      });
-}
-
-void parallel_hilbert_keys(std::span<const Vec3d> pos, const Domain& d,
-                           std::span<Key> out) {
-  assert(pos.size() == out.size());
-  util::TaskPool::global().parallel_for(
-      pos.size(), kEncodeGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          out[i] = hilbert_from_position(pos[i], d);
       });
 }
 

@@ -24,10 +24,6 @@ namespace hotlib::morton {
 void parallel_morton_keys(std::span<const Vec3d> pos, const Domain& d,
                           std::span<Key> out);
 
-// out[i] = hilbert_from_position(pos[i], d), chunked over the global pool.
-void parallel_hilbert_keys(std::span<const Vec3d> pos, const Domain& d,
-                           std::span<Key> out);
-
 // Fill `order` (size == keys.size()) with the permutation that sorts `keys`
 // ascending, ties broken by original index. The (key, index) pair order is
 // total, so the result is the unique sorted permutation — bit-identical for

@@ -27,7 +27,6 @@
 // dissipative (final norm < initial norm).
 #pragma once
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

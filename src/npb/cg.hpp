@@ -10,7 +10,6 @@
 // residual must be small.
 #pragma once
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

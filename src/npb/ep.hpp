@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

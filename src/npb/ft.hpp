@@ -13,7 +13,6 @@
 #include <complex>
 #include <vector>
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

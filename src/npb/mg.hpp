@@ -11,7 +11,6 @@
 // reference residual; ours is self-consistent).
 #pragma once
 
-#include "npb/common.hpp"
 #include "parc/rank.hpp"
 
 namespace hotlib::npb {

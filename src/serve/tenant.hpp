@@ -4,9 +4,7 @@
 // for admitted / rejected / errored requests plus a fixed-memory latency
 // histogram (telemetry::LatencyHistogram) from which nearest-rank
 // percentiles, within one bucket, and the exact max are read. These are
-// the per-tenant numbers bench_serve exports as report metrics and the
-// perf gate checks with the percentile (upper-bound) policy — the serving
-// layer's analogue of the wall-clock gates.
+// the per-tenant numbers bench_serve exports as report metrics.
 //
 // The session also keeps the tenant's slow-query log: a bounded ring of the
 // K worst requests by admission-to-reply latency (type, args digest, queue

@@ -1,4 +1,4 @@
-// timer.hpp — wall-clock timing helpers.
+// timer.hpp — wall-clock stopwatch.
 #pragma once
 
 #include <chrono>
@@ -20,27 +20,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulating timer for phase breakdowns (tree build / traversal / comm ...).
-class PhaseTimer {
- public:
-  void start() { t_.reset(); running_ = true; }
-  void stop() {
-    if (running_) {
-      total_ += t_.seconds();
-      ++count_;
-      running_ = false;
-    }
-  }
-  double total_seconds() const { return total_; }
-  long invocations() const { return count_; }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  long count_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace hotlib

@@ -167,14 +167,6 @@ InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticle
       });
 }
 
-void step_euler(VortexParticles& p, double dt, const hot::Mac& mac) {
-  tree_velocities(p, mac);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p.pos[i] += dt * p.vel[i];
-    p.alpha[i] += dt * p.dalpha[i];
-  }
-}
-
 InteractionTally step_rk2(VortexParticles& p, double dt, const hot::Mac& mac) {
   InteractionTally tally = tree_velocities(p, mac);
   VortexParticles mid = p;

@@ -91,9 +91,7 @@ InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticle
                                       const hot::Mac& mac, std::span<const Vec3d> points,
                                       std::span<Vec3d> vel);
 
-// Forward-Euler convection + stretching step (the production code uses RK2;
-// step_rk2 below does the same with a midpoint evaluation).
-void step_euler(VortexParticles& p, double dt, const hot::Mac& mac);
+// Midpoint (RK2) convection + stretching step.
 InteractionTally step_rk2(VortexParticles& p, double dt, const hot::Mac& mac);
 
 // Vortex ring: N filament segments on a circle of radius R centered at

@@ -20,6 +20,24 @@ std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Out-of-place discrete Fourier transform by direct summation (O(n^2)): the
+// reference fft() is validated against.
+std::vector<Complex> dft_reference(std::span<const Complex> data, Direction dir) {
+  const std::size_t n = data.size();
+  const double sign = (dir == Direction::Forward) ? -1.0 : 1.0;
+  std::vector<Complex> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    Complex acc(0, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double ang =
+          sign * 2.0 * std::numbers::pi * static_cast<double>(k * j) / static_cast<double>(n);
+      acc += data[j] * Complex(std::cos(ang), std::sin(ang));
+    }
+    out[k] = (dir == Direction::Inverse) ? acc / static_cast<double>(n) : acc;
+  }
+  return out;
+}
+
 class Fft1D : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Fft1D, MatchesReferenceDft) {

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "hot/concurrent_hash_table.hpp"
-#include "hot/hash_table.hpp"
+#include "key_hash_table.hpp"
 #include "util/rng.hpp"
 
 namespace hotlib::hot {

@@ -10,6 +10,7 @@
 #include "gravity/models.hpp"
 #include "hot/hot.hpp"
 #include "hot/spatial.hpp"
+#include "key_hash_table.hpp"
 #include "parc/parc.hpp"
 #include "util/rng.hpp"
 

@@ -38,6 +38,10 @@ TEST(Simnet, CatalogBasics) {
   const auto loki = simnet::loki();
   EXPECT_EQ(loki.procs(), 16);
   EXPECT_DOUBLE_EQ(loki.cost_usd, 51379.0);
+  // The paper's measured MPI round trips, which bench_comm's modelled
+  // loki_roundtrip_us reproduces: 208 us on Loki, 41 us on ASCI Red.
+  EXPECT_NEAR(2 * loki.net.effective_latency(), 208e-6, 1e-12);
+  EXPECT_NEAR(2 * red.net.effective_latency(), 41e-6, 1e-12);
 }
 
 TEST(Simnet, NsqProjectionReproduces635Gflops) {

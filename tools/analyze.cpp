@@ -31,44 +31,19 @@ const std::set<std::string>& exact_counters() {
   return k;
 }
 
-// Host-speed metrics: wall-clock rates and latencies that vary with the
-// machine the gate runs on. Checked only to a within-a-factor band.
-bool is_rate_metric(const std::string& key) {
+// Host-timed metrics: rates and latencies read off the host's clock,
+// including every latency percentile (tenant1_p99_query_latency_us). A run
+// does not determine them, so the gate only requires them present and finite.
+bool is_host_timed_metric(const std::string& key) {
   return key.ends_with("_per_s") || key.ends_with("_ns") || key.ends_with("_us") ||
          key.ends_with("_per_sec");
 }
 
-// Percentile metrics (p50/p90/p99/... tokens, e.g. tenant0_p99_query_latency_us):
-// tail latencies from the serving layer. Classified before the rate check —
-// their keys also end in _us — because their policy differs: like wall
-// clocks they are upper-bounded only (regressions fail, a faster machine
-// never does; a two-sided band would fail good runs).
-bool is_percentile_metric(const std::string& key) {
-  std::size_t start = 0;
-  while (start <= key.size()) {
-    std::size_t end = key.find('_', start);
-    if (end == std::string::npos) end = key.size();
-    if (end - start >= 2 && key[start] == 'p') {
-      bool digits = true;
-      for (std::size_t i = start + 1; i < end; ++i)
-        if (key[i] < '0' || key[i] > '9') {
-          digits = false;
-          break;
-        }
-      if (digits) return true;
-    }
-    start = end + 1;
-  }
-  return false;
-}
-
-// Overhead metrics (*_overhead_pct): a difference of two host-speed rates
-// (e.g. tracing-on vs tracing-off throughput), expressed in percentage
-// points. Upper-bounded only, with absolute slack — the baseline value is
-// mostly noise, so a relative band would be meaningless.
-bool is_overhead_metric(const std::string& key) {
-  return key.ends_with("_overhead_pct");
-}
+// Bands for the quantities a run determines only up to thread scheduling:
+// |got - baseline| <= max(rel * baseline, abs).
+constexpr double kTrafficRel = 0.35, kTrafficAbs = 64.0;  // message/byte/ack totals
+constexpr double kVirtRel = 0.35, kVirtAbs = 1e-6;        // modelled (LogP) seconds
+constexpr double kMetricRel = 0.5, kMetricAbs = 0.25;     // other harness metrics
 
 std::string fmt(double v) {
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
@@ -427,57 +402,9 @@ class Checker {
            fmt(slack) + ")");
   }
 
-  // Wall-clock: only regressions fail, a faster machine never does.
-  void upper(const std::string& key, double got, double want) {
+  void finite(const std::string& key, double got) {
     ++result_.checked;
-    const double factor = tolerance_for(key, policy_.wall_factor);
-    const double bound = factor * want + policy_.wall_abs;
-    if (got > bound)
-      fail(key + ": got " + fmt(got) + " s, baseline " + fmt(want) + " s (bound " +
-           fmt(bound) + " s)");
-  }
-
-  // Percentile (tail-latency) metrics: upper bound only, in the metric's
-  // own unit rather than seconds.
-  void pct_upper(const std::string& key, double got, double want) {
-    ++result_.checked;
-    if (!std::isfinite(got)) {
-      fail(key + ": got non-finite value");
-      return;
-    }
-    const double factor = tolerance_for(key, policy_.pct_factor);
-    const double bound = factor * want + policy_.pct_abs;
-    if (got > bound)
-      fail(key + ": got " + fmt(got) + ", baseline " + fmt(want) + " (bound " +
-           fmt(bound) + ")");
-  }
-
-  // Overhead metrics: upper bound in absolute percentage points (the
-  // baseline is noise-dominated, so only the absolute ceiling means much).
-  void overhead_upper(const std::string& key, double got, double want) {
-    ++result_.checked;
-    if (!std::isfinite(got)) {
-      fail(key + ": got non-finite value");
-      return;
-    }
-    const double bound = want + tolerance_for(key, policy_.overhead_abs);
-    if (got > bound)
-      fail(key + ": got " + fmt(got) + " pct, baseline " + fmt(want) +
-           " pct (bound " + fmt(bound) + " pct)");
-  }
-
-  void factor_band(const std::string& key, double got, double want) {
-    ++result_.checked;
-    const double factor = tolerance_for(key, policy_.rate_factor);
-    if (!std::isfinite(got)) {
-      fail(key + ": got non-finite value");
-      return;
-    }
-    if (want == 0.0) return;  // nothing meaningful to band against
-    const double ratio = got / want;
-    if (ratio > factor || ratio < 1.0 / factor)
-      fail(key + ": got " + fmt(got) + ", baseline " + fmt(want) + " (allowed within " +
-           fmt(factor) + "x)");
+    if (!std::isfinite(got)) fail(key + ": got non-finite value");
   }
 
   void fail(const std::string& msg) { result_.violations.push_back(msg); }
@@ -498,12 +425,11 @@ CheckResult check_report(const Report& r, const Report& base, const CheckPolicy&
   c.exact("nranks", r.nranks, base.nranks);
   c.exact("interactions", r.interactions, base.interactions);
   c.exact("flops", r.flops, base.flops);
-  c.upper("wall_seconds", r.wall_seconds, base.wall_seconds);
-  c.banded("modelled_seconds", r.modelled_seconds, base.modelled_seconds, policy.virt_rel,
-           policy.virt_abs);
+  c.banded("modelled_seconds", r.modelled_seconds, base.modelled_seconds, kVirtRel,
+           kVirtAbs);
 
-  // Phase structure must match: same phases, same call counts. Times follow
-  // the wall/virt rules above.
+  // Phase structure must match: same phases, same call counts. Modelled
+  // times are banded; wall times are not checked.
   for (const Report::Phase& bp : base.phases) {
     const Report::Phase* rp = r.phase(bp.name);
     if (rp == nullptr) {
@@ -511,10 +437,8 @@ CheckResult check_report(const Report& r, const Report& base, const CheckPolicy&
       continue;
     }
     c.exact("phases." + bp.name + ".calls", rp->calls, bp.calls);
-    c.upper("phases." + bp.name + ".wall_seconds", rp->wall_seconds, bp.wall_seconds);
-    c.upper("phases." + bp.name + ".max_rank_wall", rp->max_rank_wall, bp.max_rank_wall);
     c.banded("phases." + bp.name + ".virt_seconds", rp->virt_seconds, bp.virt_seconds,
-             policy.virt_rel, policy.virt_abs);
+             kVirtRel, kVirtAbs);
   }
   for (const Report::Phase& rp : r.phases)
     if (base.phase(rp.name) == nullptr)
@@ -531,7 +455,7 @@ CheckResult check_report(const Report& r, const Report& base, const CheckPolicy&
     if (exact_counters().count(key) > 0)
       c.exact("counters." + key, it->second, bv);
     else
-      c.banded("counters." + key, it->second, bv, policy.traffic_rel, policy.traffic_abs);
+      c.banded("counters." + key, it->second, bv, kTrafficRel, kTrafficAbs);
   }
   for (const auto& [key, rv] : r.counters)
     if (base.counters.find(key) == base.counters.end())
@@ -543,14 +467,10 @@ CheckResult check_report(const Report& r, const Report& base, const CheckPolicy&
       c.fail("metrics." + key + ": present in baseline, missing from report");
       continue;
     }
-    if (is_percentile_metric(key))
-      c.pct_upper("metrics." + key, it->second, bv);
-    else if (is_overhead_metric(key))
-      c.overhead_upper("metrics." + key, it->second, bv);
-    else if (is_rate_metric(key))
-      c.factor_band("metrics." + key, it->second, bv);
+    if (is_host_timed_metric(key))
+      c.finite("metrics." + key, it->second);
     else
-      c.banded("metrics." + key, it->second, bv, policy.metric_rel, policy.metric_abs);
+      c.banded("metrics." + key, it->second, bv, kMetricRel, kMetricAbs);
   }
   for (const auto& [key, rv] : r.metrics)
     if (base.metrics.find(key) == base.metrics.end())

@@ -7,16 +7,12 @@
 //                                            reports into --report-dir), then
 //                                            check it against BASELINE
 //
-// check/gate flags (all optional):
-//   --tol=KEY=REL        per-metric relative tolerance override, e.g.
-//                        --tol=counters.bytes_sent=0.5 ; REL=0 on a banded
-//                        key tightens it, REL>0 on an exact key loosens it
-//   --traffic-rel=F --traffic-abs=F   band for scheduling-dependent counters
-//   --wall-factor=F --wall-abs=F      upper bound for wall-clock times
-//   --virt-rel=F                      band for modelled / virtual times
-//   --metric-rel=F --metric-abs=F     band for scalar metrics
-//   --rate-factor=F                   within-a-factor band for _per_s/_ns/_us
-//   --report-dir=DIR                  (gate) where the harness writes reports
+// check/gate flags (both optional):
+//   --tol=KEY=REL        per-key relative tolerance override, e.g.
+//                        --tol=counters.bytes_sent=0.5 ; REL>0 on an exact
+//                        key loosens it to a band, on a banded key it
+//                        replaces the default relative band
+//   --report-dir=DIR     (gate) where the harness writes reports
 //
 // Exit status: 0 clean, 1 check violations or broken input, 2 usage error.
 #include <cstdio>
@@ -77,24 +73,8 @@ bool parse_args(int argc, char** argv, CheckPolicy& policy, std::string& report_
       report_dir = val;
       continue;
     }
-    double v = 0.0;
-    if (!parse_double(val.c_str(), v)) {
-      std::fprintf(stderr, "hotlib-analyze: %s is not a number\n", val.c_str());
-      return false;
-    }
-    if (flag == "--traffic-rel") policy.traffic_rel = v;
-    else if (flag == "--traffic-abs") policy.traffic_abs = v;
-    else if (flag == "--wall-factor") policy.wall_factor = v;
-    else if (flag == "--wall-abs") policy.wall_abs = v;
-    else if (flag == "--virt-rel") policy.virt_rel = v;
-    else if (flag == "--virt-abs") policy.virt_abs = v;
-    else if (flag == "--metric-rel") policy.metric_rel = v;
-    else if (flag == "--metric-abs") policy.metric_abs = v;
-    else if (flag == "--rate-factor") policy.rate_factor = v;
-    else {
-      std::fprintf(stderr, "hotlib-analyze: unknown flag %s\n", flag.c_str());
-      return false;
-    }
+    std::fprintf(stderr, "hotlib-analyze: unknown flag %s\n", flag.c_str());
+    return false;
   }
   return true;
 }

@@ -3,8 +3,6 @@
 //   hotlib-serve demo [flags]   start a service, run one of every query
 //                               kind against a live stepping simulation,
 //                               steer it, and print the results
-//   hotlib-serve load [flags]   closed-loop mixed-query load (a scaled-down
-//                               bench_serve) and per-tenant latency stats
 //   hotlib-serve top [flags]    live introspection: background load against
 //                               an auto-stepping service, scraped over
 //                               kMetricsRequest every refresh interval
@@ -15,8 +13,7 @@
 // flags (all optional, --key=value):
 //   --bodies=N       bodies per simulation          (default 512)
 //   --sims=N         number of live simulations     (default 2)
-//   --tenants=N      load/top: concurrent tenants   (default 2)
-//   --ops=N          load: ops per tenant           (default 2000)
+//   --tenants=N      top: concurrent tenants        (default 2)
 //   --seed=N         base RNG seed for the clouds   (default 11)
 //   --frames=N       top: refresh frames to render  (default 5)
 //   --interval-ms=N  top: delay between scrapes     (default 400)
@@ -52,7 +49,6 @@ struct Options {
   std::size_t bodies = 512;
   std::size_t sims = 2;
   std::size_t tenants = 2;
-  std::size_t ops = 2000;
   std::uint64_t seed = 11;
   std::size_t frames = 5;
   std::size_t interval_ms = 400;
@@ -61,7 +57,6 @@ struct Options {
 int usage() {
   std::fprintf(stderr,
                "usage: hotlib-serve demo [--bodies=N] [--sims=N] [--seed=N]\n"
-               "       hotlib-serve load [--bodies=N] [--sims=N] [--tenants=N] [--ops=N]\n"
                "       hotlib-serve top  [--bodies=N] [--sims=N] [--tenants=N]"
                " [--frames=N] [--interval-ms=N]\n");
   return 2;
@@ -79,7 +74,6 @@ bool parse_options(int argc, char** argv, Options& opt) {
     if (flag == "--bodies") opt.bodies = v;
     else if (flag == "--sims") opt.sims = v;
     else if (flag == "--tenants") opt.tenants = v;
-    else if (flag == "--ops") opt.ops = v;
     else if (flag == "--seed") opt.seed = v;
     else if (flag == "--frames") opt.frames = v;
     else if (flag == "--interval-ms") opt.interval_ms = v;
@@ -180,71 +174,6 @@ int run_demo(const Options& opt) {
               stats->p99_query_latency_us,
               static_cast<unsigned long long>(stats->steps));
   svc.stop();
-  return 0;
-}
-
-int run_load(const Options& opt) {
-  serve::SimulationService svc(service_config(opt));
-  svc.start();
-  std::printf("service up: %zu sims x %zu bodies; %zu tenants x %zu ops\n\n", svc.nsims(),
-              opt.bodies, opt.tenants, opt.ops);
-
-  std::vector<std::thread> threads;
-  std::vector<bool> failed(opt.tenants, false);
-  for (std::size_t t = 0; t < opt.tenants; ++t)
-    threads.emplace_back([&, t] {
-      serve::Client cl(svc, static_cast<std::uint32_t>(t + 1));
-      if (!cl.hello()) {
-        failed[t] = true;
-        return;
-      }
-      Xoshiro256ss rng(0xc11e47ULL + t);
-      const auto sim = static_cast<std::uint32_t>(t % svc.nsims());
-      std::vector<Vec3d> pts(4);
-      for (std::size_t op = 0; op < opt.ops; ++op) {
-        const double r = rng.uniform();
-        bool ok = false;
-        do {
-          if (r < 0.7) {
-            for (auto& p : pts) p = rng.in_sphere(1.2);
-            ok = cl.point_query(sim, pts).has_value();
-          } else if (r < 0.85) {
-            const Vec3d c = rng.in_sphere(0.8);
-            ok = cl.knn_query(sim, c, 8).has_value();
-          } else {
-            const Vec3d c = rng.in_sphere(0.8);
-            const hot::Aabb box{{c.x - 0.2, c.y - 0.2, c.z - 0.2},
-                                {c.x + 0.2, c.y + 0.2, c.z + 0.2}};
-            ok = cl.region_query(sim, box, 64).has_value();
-          }
-        } while (!ok && cl.last_error_was_busy());
-        if (!ok) {
-          failed[t] = true;
-          return;
-        }
-      }
-    });
-  for (auto& th : threads) th.join();
-  svc.stop();
-
-  TextTable table({"tenant", "queries", "rejected", "p50 us", "p99 us", "max us"});
-  bool any_failed = false;
-  for (std::size_t t = 0; t < opt.tenants; ++t) {
-    any_failed = any_failed || failed[t];
-    const serve::StatsReplyPayload st =
-        svc.tenant_stats(static_cast<std::uint32_t>(t + 1));
-    table.add_row({TextTable::integer(static_cast<long long>(t + 1)),
-                   TextTable::integer(static_cast<long long>(st.queries)),
-                   TextTable::integer(static_cast<long long>(st.rejected)),
-                   TextTable::num(st.p50_query_latency_us, 1),
-                   TextTable::num(st.p99_query_latency_us, 1),
-                   TextTable::num(st.max_query_latency_us, 1)});
-  }
-  std::printf("per-tenant latency:\n%s\n", table.to_string().c_str());
-  if (any_failed) {
-    std::fprintf(stderr, "hotlib-serve: a client failed\n");
-    return 1;
-  }
   return 0;
 }
 
@@ -366,7 +295,6 @@ int main(int argc, char** argv) {
   Options opt;
   if (!parse_options(argc - 2, argv + 2, opt)) return usage();
   if (mode == "demo") return run_demo(opt);
-  if (mode == "load") return run_load(opt);
   if (mode == "top") return run_top(opt);
   return usage();
 }
