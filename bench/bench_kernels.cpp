@@ -3,8 +3,8 @@
 // ("table lookup, Chebychev polynomial interpolation, and Newton-Raphson
 // iteration ... 38 floating point operations per interaction"), the
 // particle-particle and particle-cell interactions, Morton key generation,
-// the concurrent cell index, and tree construction. Also carries the design
-// ablations: monopole vs quadrupole cell kernels, hash load factors and
+// the key -> cell hash table, and tree construction. Also carries the design
+// ablations: monopole vs quadrupole cell kernels, hash table sizes and
 // tree bucket sizes.
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,7 @@
 #include "gravity/evaluator.hpp"
 #include "gravity/kernels.hpp"
 #include "gravity/models.hpp"
-#include "hot/concurrent_hash_table.hpp"
+#include "hot/key_hash_table.hpp"
 #include "hot/tree.hpp"
 #include "morton/key.hpp"
 #include "telemetry/report.hpp"
@@ -220,8 +220,7 @@ void BM_HashInsertFind(benchmark::State& state) {
   std::vector<std::uint64_t> keys(n);
   for (auto& k : keys) k = rng.next() | 1;
   for (auto _ : state) {
-    hot::ConcurrentKeyHashTable h(n);
-    for (std::size_t i = 0; i < n; ++i) h.insert(keys[i], static_cast<std::uint32_t>(i));
+    const hot::KeyHashTable h(n, [&](std::size_t i) { return keys[i]; });
     std::uint32_t acc = 0;
     for (std::size_t i = 0; i < n; ++i) acc ^= h.find(keys[i]);
     benchmark::DoNotOptimize(acc);

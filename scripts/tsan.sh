@@ -1,8 +1,8 @@
 #!/bin/sh
 # tsan.sh — build and run the shared-memory parallelism tests under
 # ThreadSanitizer: the task-pool unit/stress suite, the bit-exact
-# determinism sweep, the concurrent cell index (lock-free find racing
-# insert/grow storms, gauge reads racing writers), and the serving layer's
+# determinism sweep, the cell index (four threads sharing one built,
+# read-only table, whose find must write nothing), and the serving layer's
 # concurrent tests — query vs stepping, the idle pump lending itself to the
 # pool, plus the lock-free metrics-scrape path (atomic counter reads and
 # seqlock gauge snapshots racing live writers) (ctest label `tsan`, see

@@ -188,11 +188,11 @@ void DistributedTree::serve_request(int requester, Key key) {
   // the requested interval; if it is internal, the region is empty.
   Key probe = key;
   std::uint32_t idx = tree_.find_index(probe);
-  while (idx == ConcurrentKeyHashTable::kNotFound && probe > morton::kRootKey) {
+  while (idx == KeyHashTable::kNotFound && probe > morton::kRootKey) {
     probe = morton::parent(probe);
     idx = tree_.find_index(probe);
   }
-  if (idx != ConcurrentKeyHashTable::kNotFound) {
+  if (idx != KeyHashTable::kNotFound) {
     const Cell& c = tree_.cells()[idx];
     if (probe == key) {
       h.rec = {c.com, c.mass, c.quad, c.b2, c.bmax};
@@ -299,19 +299,19 @@ Key DistributedTree::advance(Walk& w, const Mac& mac, Stats& stats) {
     // Locally owned?
     if (owner_of(k) == rank_.rank()) {
       const std::uint32_t idx = tree_.find_index(k);
-      if (idx != ConcurrentKeyHashTable::kNotFound) {
+      if (idx != KeyHashTable::kNotFound) {
         w.stack.push_back({0, static_cast<std::int32_t>(idx)});
         continue;
       }
       // Below a local leaf (a crown mask descended past our tree depth):
       // take the leaf ancestor's bodies inside the interval directly.
       Key probe = k;
-      std::uint32_t aidx = ConcurrentKeyHashTable::kNotFound;
-      while (aidx == ConcurrentKeyHashTable::kNotFound && probe > morton::kRootKey) {
+      std::uint32_t aidx = KeyHashTable::kNotFound;
+      while (aidx == KeyHashTable::kNotFound && probe > morton::kRootKey) {
         probe = morton::parent(probe);
         aidx = tree_.find_index(probe);
       }
-      if (aidx != ConcurrentKeyHashTable::kNotFound && tree_.cells()[aidx].is_leaf()) {
+      if (aidx != KeyHashTable::kNotFound && tree_.cells()[aidx].is_leaf()) {
         const Cell& leaf = tree_.cells()[aidx];
         const int shift = 3 * (morton::kMaxLevel - morton::level(k));
         const Key lo = k << shift;
@@ -457,7 +457,6 @@ DistributedTree::Stats DistributedTree::traverse(const Mac& mac, const GroupEval
   // local-tree gauges this is the rank's whole tree memory footprint.
   telemetry::gauge_set(telemetry::Gauge::kDtreeCacheCells,
                        static_cast<double>(cache_.size()));
-  telemetry::gauge_set(telemetry::Gauge::kHashMeanProbe, tree_.hash().mean_probe());
   span.set_arg(stats.requests_sent);
   return stats;
 }

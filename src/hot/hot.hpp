@@ -3,8 +3,8 @@
 #pragma once
 
 #include "hot/bodies.hpp"                 // IWYU pragma: export
-#include "hot/concurrent_hash_table.hpp"  // IWYU pragma: export
 #include "hot/decompose.hpp"              // IWYU pragma: export
+#include "hot/key_hash_table.hpp"         // IWYU pragma: export
 #include "hot/let.hpp"                    // IWYU pragma: export
 #include "hot/mac.hpp"                    // IWYU pragma: export
 #include "hot/traverse.hpp"               // IWYU pragma: export

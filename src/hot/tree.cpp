@@ -56,7 +56,6 @@ void Tree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   telemetry::Span span("tree_build", telemetry::Phase::kTreeBuild, pos.size());
   domain_ = domain;
   cells_.clear();
-  hash_.clear();
   max_depth_ = 0;
 
   const std::uint32_t n = static_cast<std::uint32_t>(pos.size());
@@ -101,15 +100,9 @@ void Tree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   // Bottom-up moments: children are stored after their parent.
   compute_all_moments(sorted_pos, sorted_mass);
 
-  // Register every cell in the concurrent index. Inserts from all lanes race
-  // freely (striped writer locks, lock-free readers); the final contents and
-  // the capacity trajectory are order-independent, so the build stays
-  // bit-exact at any thread count even though slot layout may differ.
-  util::TaskPool::global().parallel_for(cells_.size(), 2048,
-                                        [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      hash_.insert(cells_[i].key, static_cast<std::uint32_t>(i));
-  });
+  // Register every cell in the key -> index table, serially in cell order;
+  // the table is read-only from here until the next build.
+  hash_ = KeyHashTable(cells_.size(), [this](std::size_t i) { return cells_[i].key; });
 
   // Health gauges: resident tree size and hash-table shape of the build this
   // rank now holds (the sampler snapshots them on the parc tick).

@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "hot/concurrent_hash_table.hpp"
+#include "hot/key_hash_table.hpp"
 #include "morton/key.hpp"
 #include "util/vec3.hpp"
 
@@ -82,11 +82,9 @@ class Tree {
   // detect non-local data.
   const Cell* find(morton::Key key) const {
     const std::uint32_t idx = hash_.find(key);
-    return idx == ConcurrentKeyHashTable::kNotFound ? nullptr : &cells_[idx];
+    return idx == KeyHashTable::kNotFound ? nullptr : &cells_[idx];
   }
   std::uint32_t find_index(morton::Key key) const { return hash_.find(key); }
-
-  const ConcurrentKeyHashTable& hash() const { return hash_; }
 
   // Visit cells bottom-up (children strictly before parents); used by the
   // vortex/SPH modules to attach their own per-cell payloads.
@@ -161,7 +159,7 @@ class Tree {
   std::vector<Cell> cells_;
   std::vector<std::uint32_t> order_;
   std::vector<morton::Key> keys_;
-  ConcurrentKeyHashTable hash_;
+  KeyHashTable hash_;
   int max_depth_ = 0;
 };
 

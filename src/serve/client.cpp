@@ -121,7 +121,8 @@ std::optional<Client::PointResult> Client::point_query(std::uint32_t sim,
   head.count = static_cast<std::uint32_t>(points.size());
   parc::Bytes payload(sizeof(head) + points.size_bytes());
   std::memcpy(payload.data(), &head, sizeof(head));
-  std::memcpy(payload.data() + sizeof(head), points.data(), points.size_bytes());
+  if (!points.empty())  // an empty span's data() may be null
+    std::memcpy(payload.data() + sizeof(head), points.data(), points.size_bytes());
   auto f = call(FrameType::kPointQuery, id, payload, FrameType::kPointReply);
   if (!f) return std::nullopt;
   const auto reply = f->as<PointReplyHeader>();
@@ -134,11 +135,13 @@ std::optional<Client::PointResult> Client::point_query(std::uint32_t sim,
   out.step = reply->step;
   out.acc.resize(n);
   out.pot.resize(n);
-  std::memcpy(out.acc.data(), f->payload.data() + sizeof(*reply),
-              n * sizeof(Vec3d));
-  std::memcpy(out.pot.data(),
-              f->payload.data() + sizeof(*reply) + n * sizeof(Vec3d),
-              n * sizeof(double));
+  if (n > 0) {
+    std::memcpy(out.acc.data(), f->payload.data() + sizeof(*reply),
+                n * sizeof(Vec3d));
+    std::memcpy(out.pot.data(),
+                f->payload.data() + sizeof(*reply) + n * sizeof(Vec3d),
+                n * sizeof(double));
+  }
   return out;
 }
 
@@ -185,8 +188,9 @@ std::optional<Client::KnnResult> Client::knn_query(std::uint32_t sim,
   KnnResult out;
   out.step = reply->step;
   out.neighbors.resize(reply->count);
-  std::memcpy(out.neighbors.data(), f->payload.data() + sizeof(*reply),
-              reply->count * sizeof(NeighborRecord));
+  if (reply->count > 0)
+    std::memcpy(out.neighbors.data(), f->payload.data() + sizeof(*reply),
+                reply->count * sizeof(NeighborRecord));
   return out;
 }
 
@@ -230,8 +234,9 @@ std::optional<Client::Snapshot> Client::snapshot(std::uint32_t sim,
     expected = head->nchunks;
     const std::size_t base = out.particles.size();
     out.particles.resize(base + head->count);
-    std::memcpy(out.particles.data() + base, f->payload.data() + sizeof(*head),
-                head->count * sizeof(ParticleRecord));
+    if (head->count > 0)  // an empty sim streams one empty chunk
+      std::memcpy(out.particles.data() + base, f->payload.data() + sizeof(*head),
+                  head->count * sizeof(ParticleRecord));
     ++received;
   } while (received < expected);
   return out;

@@ -21,6 +21,14 @@ constexpr std::size_t kMaxRecordsPerReply =
 constexpr std::size_t kMaxNeighborsPerReply =
     (kMaxFramePayload - sizeof(KnnReplyHeader)) / sizeof(NeighborRecord);
 
+// Per-connection request buffer, and the snapshot chunk size used when a
+// request names none.
+constexpr std::size_t kInboundBufferBytes = std::size_t{1} << 16;
+constexpr std::size_t kSnapshotChunkBodies = 512;
+// Telemetry rank ids of the stepping and pump threads.
+constexpr int kStepRank = 1;
+constexpr int kPumpRank = 2;
+
 ErrorCode decode_error_to_code(DecodeError e) {
   switch (e) {
     case DecodeError::kBadVersion: return ErrorCode::kBadVersion;
@@ -43,8 +51,7 @@ const char* query_span_name(FrameType t) {
 
 }  // namespace
 
-SimulationService::SimulationService(Config cfg)
-    : cfg_(std::move(cfg)), trace_rng_(cfg_.trace_seed | 1u) {
+SimulationService::SimulationService(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.sims.empty()) cfg_.sims.push_back(SimInstance::Config{});
   for (const SimInstance::Config& sc : cfg_.sims)
     sims_.push_back(std::make_unique<SimInstance>(sc));
@@ -54,8 +61,7 @@ SimulationService::SimulationService(Config cfg)
 SimulationService::~SimulationService() { stop(); }
 
 std::shared_ptr<Connection> SimulationService::connect() {
-  auto conn = std::make_shared<Connection>(cfg_.inbound_buffer_bytes,
-                                           cfg_.outbound_buffer_bytes);
+  auto conn = std::make_shared<Connection>(kInboundBufferBytes, cfg_.outbound_buffer_bytes);
   auto cs = std::make_unique<ClientState>();
   cs->conn = conn;
   std::lock_guard<std::mutex> lk(clients_mu_);
@@ -101,10 +107,7 @@ bool SimulationService::trace_draw() {
 SimulationService::Tenant& SimulationService::tenant(std::uint32_t id) {
   std::lock_guard<std::mutex> lk(tenants_mu_);
   auto& slot = tenants_[id];
-  if (!slot) {
-    slot = std::make_unique<Tenant>();
-    slot->session.set_slow_log_depth(cfg_.slow_log_depth);
-  }
+  if (!slot) slot = std::make_unique<Tenant>();
   return *slot;
 }
 
@@ -176,12 +179,12 @@ MetricsSnapshot SimulationService::metrics() const {
 }
 
 void SimulationService::step_loop() {
-  telemetry::RankScope scope(cfg_.step_rank);
+  telemetry::RankScope scope(kStepRank);
   while (running_.load(std::memory_order_acquire)) step_all();
 }
 
 void SimulationService::pump_loop() {
-  telemetry::RankScope scope(cfg_.pump_rank);
+  telemetry::RankScope scope(kPumpRank);
   while (running_.load(std::memory_order_acquire)) {
     if (pump_once()) continue;
     // Idle: lend the pump to the pool for one task — a step chunk, say —
@@ -424,8 +427,9 @@ SimulationService::QueryOutcome SimulationService::do_point_query(
     return {};
   }
   std::vector<Vec3d> points(count);
-  std::memcpy(points.data(), q.frame.payload.data() + sizeof(*head),
-              count * sizeof(Vec3d));
+  if (count > 0)  // an empty vector's data() may be null
+    std::memcpy(points.data(), q.frame.payload.data() + sizeof(*head),
+                count * sizeof(Vec3d));
 
   const std::shared_ptr<const TreeState> s = sims_[head->sim]->state();
   std::vector<Vec3d> acc(count);
@@ -438,9 +442,11 @@ SimulationService::QueryOutcome SimulationService::do_point_query(
   reply.count = head->count;
   parc::Bytes payload(sizeof(reply) + count * (sizeof(Vec3d) + sizeof(double)));
   std::memcpy(payload.data(), &reply, sizeof(reply));
-  std::memcpy(payload.data() + sizeof(reply), acc.data(), count * sizeof(Vec3d));
-  std::memcpy(payload.data() + sizeof(reply) + count * sizeof(Vec3d), pot.data(),
-              count * sizeof(double));
+  if (count > 0) {
+    std::memcpy(payload.data() + sizeof(reply), acc.data(), count * sizeof(Vec3d));
+    std::memcpy(payload.data() + sizeof(reply) + count * sizeof(Vec3d), pot.data(),
+                count * sizeof(double));
+  }
   send_bytes(ci, encode_frame(FrameType::kPointReply, tid, rid, payload));
   return {s->step, tally.interactions(), count};
 }
@@ -535,8 +541,7 @@ SimulationService::QueryOutcome SimulationService::do_snapshot(
     return {};
   }
   const std::shared_ptr<const TreeState> s = sims_[req->sim]->state();
-  std::size_t chunk = req->chunk_bodies > 0 ? req->chunk_bodies
-                                            : cfg_.snapshot_chunk_bodies;
+  std::size_t chunk = req->chunk_bodies > 0 ? req->chunk_bodies : kSnapshotChunkBodies;
   chunk = std::min(std::max<std::size_t>(chunk, 1), kMaxRecordsPerReply);
   const std::size_t n = s->pos.size();
   const std::size_t nchunks = n == 0 ? 1 : (n + chunk - 1) / chunk;

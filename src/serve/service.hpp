@@ -56,29 +56,21 @@ class SimulationService {
   struct Config {
     std::vector<SimInstance::Config> sims;
     std::size_t max_queue_per_tenant = 64;
-    std::size_t inbound_buffer_bytes = std::size_t{1} << 16;
     std::size_t outbound_buffer_bytes = std::size_t{1} << 22;
     // Longest the pump will wait for a client's reply buffer to make progress
     // before declaring the reader stalled and dropping the connection. Keeps
     // backpressure for slow-but-draining readers while bounding how long any
     // one client can hold the pump (and making stop() deadlock-free).
     std::chrono::microseconds send_grace = std::chrono::milliseconds(200);
-    std::uint32_t snapshot_chunk_bodies = 512;
     // Continuous stepping thread. Off = quiesced mode: the harness drives
     // step_all() itself (tests; bit-exactness baselines).
     bool auto_step = true;
-    // Telemetry rank ids for the service threads (negative = don't attach).
-    int step_rank = 1;
-    int pump_rank = 2;
     // Head-based trace sampling applied by the service to requests that
     // arrive *without* a client-side trace context: each such request is
     // promoted to a sampled trace with this probability. Requests whose
     // header already carries the sampled flag are always traced (the client
     // made the head decision). 0 = service adds no traces of its own.
     double trace_sample_rate = 0.0;
-    std::uint64_t trace_seed = 0x9E3779B97F4A7C15ull;
-    // Worst-K requests retained per tenant in the slow-query log.
-    std::size_t slow_log_depth = TenantSession::kDefaultSlowLogDepth;
   };
 
   explicit SimulationService(Config cfg);
@@ -188,7 +180,7 @@ class SimulationService {
   Config cfg_;
   std::vector<std::unique_ptr<SimInstance>> sims_;
   double epoch_s_ = 0.0;       // now_s() at construction (uptime baseline)
-  std::uint64_t trace_rng_ = 0;  // pump-thread only
+  std::uint64_t trace_rng_ = 0x9E3779B97F4A7C15ull;  // pump-thread only; odd, never 0
 
   mutable std::mutex clients_mu_;
   std::vector<std::unique_ptr<ClientState>> clients_;

@@ -111,8 +111,7 @@ inline constexpr int kCounterCount = static_cast<int>(Counter::kCount);
 // Stable machine-readable name (RunReport JSON key) of each counter.
 const char* counter_name(Counter c);
 
-// Plain aggregatable block of all counters; trivially copyable so it can
-// ride the parc collectives (see collect.hpp).
+// Plain aggregatable block of all counters.
 struct CounterBlock {
   std::array<std::uint64_t, kCounterCount> v{};
 
@@ -154,7 +153,7 @@ enum class Gauge : int {
   // Key hash table of the most recently built local tree.
   kHashEntries,
   kHashSlots,
-  kHashMeanProbe,  // cumulative probes / operations (1.0 = no collisions)
+  kHashMeanProbe,  // mean probes of a successful lookup (1.0 = no collisions)
   // Resident tree size (local cells/bodies of the last build) and the
   // distributed-traversal remote-cell cache.
   kTreeCells,

@@ -43,6 +43,25 @@ inline std::int64_t block_size(void* p, std::size_t requested) {
 #endif
 }
 
+// The process-global gauges — heap bytes and task-pool utilization — read
+// from their live sources; each is passed to store(gauge, value). The pool
+// gauges only if a pool exists: peeking must not spawn worker threads as a
+// side effect of being sampled.
+template <class Store>
+void read_process_gauges(Store&& store) {
+  store(Gauge::kMemLiveBytes, static_cast<double>(mem_live_bytes()));
+  store(Gauge::kMemPeakBytes, static_cast<double>(mem_peak_bytes()));
+  if (const util::TaskPool* pool = util::TaskPool::global_if_created()) {
+    const util::TaskPool::Stats ps = pool->stats();
+    store(Gauge::kPoolWorkers, static_cast<double>(pool->concurrency() - 1));
+    store(Gauge::kPoolTasksRun, static_cast<double>(ps.tasks_executed));
+    store(Gauge::kPoolSteals, static_cast<double>(ps.steals));
+    store(Gauge::kPoolBusySeconds, ps.busy_seconds);
+    store(Gauge::kPoolLentTasks, static_cast<double>(ps.lent_tasks));
+    store(Gauge::kPoolLentSeconds, ps.lent_seconds);
+  }
+}
+
 }  // namespace
 
 // Gauge writes follow a seqlock protocol: the channel's gauge_seq_ is odd
@@ -90,19 +109,7 @@ void sample_now() {
         .store(v, std::memory_order_relaxed);
   };
   ch->gauge_seq_.fetch_add(1, std::memory_order_release);
-  store(Gauge::kMemLiveBytes, static_cast<double>(mem_live_bytes()));
-  store(Gauge::kMemPeakBytes, static_cast<double>(mem_peak_bytes()));
-  // Task-pool utilization, only if a pool exists — peeking must not spawn
-  // worker threads as a side effect of being sampled.
-  if (const util::TaskPool* pool = util::TaskPool::global_if_created()) {
-    const util::TaskPool::Stats ps = pool->stats();
-    store(Gauge::kPoolWorkers, static_cast<double>(pool->concurrency() - 1));
-    store(Gauge::kPoolTasksRun, static_cast<double>(ps.tasks_executed));
-    store(Gauge::kPoolSteals, static_cast<double>(ps.steals));
-    store(Gauge::kPoolBusySeconds, ps.busy_seconds);
-    store(Gauge::kPoolLentTasks, static_cast<double>(ps.lent_tasks));
-    store(Gauge::kPoolLentSeconds, ps.lent_seconds);
-  }
+  read_process_gauges(store);
   ch->gauge_seq_.fetch_add(1, std::memory_order_release);
   HealthSample s;
   s.tick = ch->tick_;
@@ -132,20 +139,9 @@ std::array<double, kGaugeCount> global_gauges_snapshot() {
   // Process-global slots: every channel mirrors these via sample_now(), so a
   // sum would double-count and a per-channel read could be stale. Overwrite
   // them from the live sources instead.
-  const auto set = [&total](Gauge g, double v) {
+  read_process_gauges([&total](Gauge g, double v) {
     total[static_cast<std::size_t>(static_cast<int>(g))] = v;
-  };
-  set(Gauge::kMemLiveBytes, static_cast<double>(mem_live_bytes()));
-  set(Gauge::kMemPeakBytes, static_cast<double>(mem_peak_bytes()));
-  if (const util::TaskPool* pool = util::TaskPool::global_if_created()) {
-    const util::TaskPool::Stats ps = pool->stats();
-    set(Gauge::kPoolWorkers, static_cast<double>(pool->concurrency() - 1));
-    set(Gauge::kPoolTasksRun, static_cast<double>(ps.tasks_executed));
-    set(Gauge::kPoolSteals, static_cast<double>(ps.steals));
-    set(Gauge::kPoolBusySeconds, ps.busy_seconds);
-    set(Gauge::kPoolLentTasks, static_cast<double>(ps.lent_tasks));
-    set(Gauge::kPoolLentSeconds, ps.lent_seconds);
-  }
+  });
   return total;
 }
 

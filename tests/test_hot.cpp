@@ -1,16 +1,14 @@
-// Tests for the hashed oct-tree core: hash table, tree construction
-// invariants, multipole moments, MACs, traversal interaction lists, the
+// Tests for the hashed oct-tree core: tree construction invariants and
+// key lookup, multipole moments, MACs, traversal interaction lists, the
 // weighted domain decomposition and the LET exchange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "gravity/models.hpp"
 #include "hot/hot.hpp"
 #include "hot/spatial.hpp"
-#include "key_hash_table.hpp"
 #include "parc/parc.hpp"
 #include "util/rng.hpp"
 
@@ -20,122 +18,6 @@ namespace {
 using gravity::fit_domain;
 using gravity::plummer_sphere;
 using gravity::uniform_cube;
-
-TEST(KeyHashTable, InsertFindAbsent) {
-  KeyHashTable h;
-  EXPECT_EQ(h.find(123), KeyHashTable::kNotFound);
-  h.insert(123, 7);
-  h.insert(456, 9);
-  EXPECT_EQ(h.find(123), 7u);
-  EXPECT_EQ(h.find(456), 9u);
-  EXPECT_EQ(h.find(789), KeyHashTable::kNotFound);
-  EXPECT_EQ(h.size(), 2u);
-}
-
-TEST(KeyHashTable, OverwriteSameKey) {
-  KeyHashTable h;
-  h.insert(42, 1);
-  h.insert(42, 2);
-  EXPECT_EQ(h.find(42), 2u);
-  EXPECT_EQ(h.size(), 1u);
-}
-
-TEST(KeyHashTable, GrowsUnderLoad) {
-  KeyHashTable h(4);
-  Xoshiro256ss rng(2);
-  std::map<std::uint64_t, std::uint32_t> ref;
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    const std::uint64_t k = rng.next() | 1;  // nonzero
-    ref[k] = i;
-    h.insert(k, i);
-  }
-  for (const auto& [k, v] : ref) ASSERT_EQ(h.find(k), v);
-  EXPECT_GE(h.capacity() * 7, h.size() * 10);  // load factor respected
-}
-
-TEST(KeyHashTable, AdversarialClusteredKeys) {
-  // Sequential keys stress linear probing.
-  KeyHashTable h;
-  for (std::uint64_t k = 1; k <= 4096; ++k) h.insert(k, static_cast<std::uint32_t>(k));
-  for (std::uint64_t k = 1; k <= 4096; ++k)
-    ASSERT_EQ(h.find(k), static_cast<std::uint32_t>(k));
-}
-
-// Semantics both index implementations must share: the single-writer
-// reference and the concurrent table the tree actually uses. (The randomized
-// differential harness lives in test_hash_table.cpp; these pin the exact
-// boundary behaviours by hand.)
-template <class Table>
-class HashTableSemantics : public ::testing::Test {};
-using HashTableTypes = ::testing::Types<KeyHashTable, ConcurrentKeyHashTable>;
-TYPED_TEST_SUITE(HashTableSemantics, HashTableTypes);
-
-TYPED_TEST(HashTableSemantics, GrowthBoundaryTripPoint) {
-  // Capacity 16 trips at the 0.7 load factor: the check is
-  // (size+1)*10 >= capacity*7, evaluated *before* the insert, so the table
-  // holds 11 keys at capacity 16 ((11+1)*10 = 120 >= 112) and doubles on the
-  // insert that would make 12.
-  TypeParam h(4);
-  ASSERT_EQ(h.capacity(), 16u);
-  for (std::uint64_t k = 1; k <= 11; ++k) {
-    h.insert(k, static_cast<std::uint32_t>(k));
-    EXPECT_EQ(h.capacity(), 16u) << "grew early at size " << k;
-  }
-  EXPECT_EQ(h.size(), 11u);
-  h.insert(12, 12);  // exactly at the trip point
-  EXPECT_EQ(h.capacity(), 32u);
-  EXPECT_EQ(h.size(), 12u);
-  for (std::uint64_t k = 1; k <= 12; ++k)
-    ASSERT_EQ(h.find(k), static_cast<std::uint32_t>(k)) << "lost across grow";
-}
-
-TYPED_TEST(HashTableSemantics, DuplicateInsertOverwrites) {
-  TypeParam h;
-  h.insert(42, 1);
-  const std::size_t cap = h.capacity();
-  h.insert(42, 2);
-  EXPECT_EQ(h.find(42), 2u);
-  EXPECT_EQ(h.size(), 1u);
-  EXPECT_EQ(h.capacity(), cap);
-  // The growth check runs before duplicate detection (pinned quirk shared by
-  // both implementations): a duplicate insert at the trip point still grows.
-  TypeParam g(4);
-  for (std::uint64_t k = 1; k <= 11; ++k) g.insert(k, static_cast<std::uint32_t>(k));
-  ASSERT_EQ(g.capacity(), 16u);
-  g.insert(5, 99);  // duplicate, but (11+1)*10 >= 16*7
-  EXPECT_EQ(g.capacity(), 32u);
-  EXPECT_EQ(g.size(), 11u);
-  EXPECT_EQ(g.find(5), 99u);
-}
-
-TYPED_TEST(HashTableSemantics, GaugesAfterClear) {
-  TypeParam h(4);
-  for (std::uint64_t k = 1; k <= 40; ++k) h.insert(k, static_cast<std::uint32_t>(k));
-  for (std::uint64_t k = 1; k <= 40; ++k) (void)h.find(k);
-  const std::uint64_t ops = h.operations();
-  const std::uint64_t probes = h.probes();
-  const std::size_t cap = h.capacity();
-  ASSERT_GE(ops, 80u);  // 40 inserts + 40 finds + rehash reinserts
-  ASSERT_GE(probes, ops);
-  EXPECT_GT(h.load_factor(), 0.0);
-  EXPECT_GE(h.mean_probe(), 1.0);
-
-  h.clear();
-  // Contents and occupancy reset; capacity and the cumulative probe gauges
-  // survive (they describe the table's lifetime across tree rebuilds — the
-  // health sampler reads mean_probe as a cumulative ratio).
-  EXPECT_EQ(h.size(), 0u);
-  EXPECT_EQ(h.capacity(), cap);
-  EXPECT_EQ(h.load_factor(), 0.0);
-  EXPECT_EQ(h.operations(), ops);
-  EXPECT_EQ(h.probes(), probes);
-  EXPECT_EQ(h.mean_probe(), static_cast<double>(probes) / static_cast<double>(ops));
-  EXPECT_EQ(h.find(7), TypeParam::kNotFound);
-  // A fresh table reports clean zeros (no division-by-zero artifacts).
-  TypeParam fresh;
-  EXPECT_EQ(fresh.mean_probe(), 0.0);
-  EXPECT_EQ(fresh.load_factor(), 0.0);
-}
 
 class TreeBuild : public ::testing::TestWithParam<int> {};
 

@@ -361,6 +361,37 @@ TEST(Serve, KnnQueryMatchesBruteForceSort) {
   svc.stop();
 }
 
+TEST(Serve, EmptyQueriesAndSnapshotsGetWellFormedEmptyReplies) {
+  // Zero points, k = 0 and a sim without bodies are valid: both sides skip
+  // the zero-length copies (scripts/ubsan.sh aborts on a null memcpy
+  // argument).
+  SimulationService::Config cfg = small_service();
+  cfg.sims[1].nbodies = 0;
+  SimulationService svc(std::move(cfg));
+  svc.start();
+  svc.step_all();
+  svc.step_all();
+  Client cl(svc, 1);
+  ASSERT_TRUE(cl.hello().has_value());
+
+  const auto point = cl.point_query(0, {});
+  ASSERT_TRUE(point.has_value());
+  EXPECT_EQ(point->step, 2u);
+  EXPECT_TRUE(point->acc.empty());
+  EXPECT_TRUE(point->pot.empty());
+
+  const auto knn = cl.knn_query(0, {0.1, 0.2, 0.3}, 0);
+  ASSERT_TRUE(knn.has_value());
+  EXPECT_EQ(knn->step, 2u);
+  EXPECT_TRUE(knn->neighbors.empty());
+
+  const auto snap = cl.snapshot(1, 0);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->step, 2u);
+  EXPECT_TRUE(snap->particles.empty());
+  svc.stop();
+}
+
 TEST(Serve, SnapshotStreamsEveryParticleAcrossChunks) {
   SimulationService svc(small_service(/*nbodies=*/200));
   svc.start();

@@ -19,7 +19,6 @@
 #include "gravity/models.hpp"
 #include "hot/tree.hpp"
 #include "parc/parc.hpp"
-#include "telemetry/collect.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hotlib::telemetry {
@@ -173,15 +172,12 @@ TEST_F(TelemetryTest, RegistryFlopsMatchReturnedTallyExactly) {
 TEST_F(TelemetryTest, ConcurrentRankWritesStayPerChannel) {
   constexpr int kRanks = 8;
   constexpr std::uint64_t kIters = 2000;
-  parc::Runtime::run(kRanks, [&](parc::Rank& r) {
+  parc::Runtime::run(kRanks, [&](parc::Rank&) {
     for (std::uint64_t i = 0; i < kIters; ++i) {
       Span span("work", Phase::kForceEval, i);
       count(Counter::kBodyBody);
       if ((i & 255) == 0) instant("marker", Phase::kComm, i);
     }
-    // Cross-rank rollup via the collectives while ranks are live.
-    const CounterBlock all = allreduce_counters(r);
-    EXPECT_GE(all[Counter::kBodyBody], static_cast<std::uint64_t>(r.size()));
   });
   const auto channels = Registry::instance().channels();
   ASSERT_EQ(channels.size(), static_cast<std::size_t>(kRanks));

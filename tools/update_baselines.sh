@@ -23,7 +23,7 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-names="nsquared treecode loki vortex sc96 npb accuracy comm price abm faults keys hash scaling serve"
+names="nsquared treecode loki vortex sc96 npb accuracy comm price abm faults keys scaling serve"
 for name in $names; do
   exe="$build/bench/bench_$name"
   if [ ! -x "$exe" ]; then
