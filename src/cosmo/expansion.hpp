@@ -15,9 +15,9 @@
 //   drift:  dx =  p * D,          D = int dt / a^2
 //
 // where phi is the comoving-coordinate potential of the *perturbation*
-// (periodic tinfoil Ewald removes the k=0 background automatically). In
-// linear theory the growing mode is D+(a) = a exactly, which the test suite
-// verifies end to end against the Ewald periodic solver.
+// (the k=0 background is removed). In linear theory the growing mode is
+// D+(a) = a exactly, which the test suite verifies end to end on a plane
+// wave driven by its exact periodic force.
 #pragma once
 
 #include "hot/bodies.hpp"
@@ -46,8 +46,8 @@ class EdsCosmology {
 };
 
 // One comoving KDK step from t to t+dt. `forces` must fill b.acc with the
-// comoving-potential gradient (e.g. periodic_direct_forces on comoving
-// positions); velocities store the canonical momentum p = a^2 dx/dt.
+// comoving-potential gradient of the perturbation at the comoving
+// positions; velocities store the canonical momentum p = a^2 dx/dt.
 template <class ForceFn>
 void comoving_kdk_step(hot::Bodies& b, const EdsCosmology& cosmo, double t, double dt,
                        ForceFn&& forces) {

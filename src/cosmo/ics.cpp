@@ -93,7 +93,7 @@ hot::Bodies make_grid_ics(const IcsConfig& cfg) {
           double& c = pos[static_cast<std::size_t>(ax)];
           c = std::fmod(std::fmod(c, L) + L, L);
         }
-        b.push_back(pos, (cfg.velocity_factor * cfg.growth) * psi, m, i);
+        b.push_back(pos, cfg.growth * psi, m, i);
       }
   return b;
 }
@@ -125,8 +125,7 @@ hot::Bodies make_spherical_ics(const IcsConfig& cfg, double r_inner_frac,
         if (norm(q - center) >= r_in) continue;
         const std::size_t i = idx(x, y, z);
         const Vec3d psi{f.psi_x[i], f.psi_y[i], f.psi_z[i]};
-        b.push_back(q + cfg.growth * psi, (cfg.velocity_factor * cfg.growth) * psi, m,
-                    i);
+        b.push_back(q + cfg.growth * psi, cfg.growth * psi, m, i);
       }
   // 8x-mass buffer shell: merge 2x2x2 blocks.
   for (int z = 0; z + 1 < n; z += 2)
@@ -145,8 +144,8 @@ hot::Bodies make_spherical_ics(const IcsConfig& cfg, double r_inner_frac,
         psi /= 8.0;
         const double r = norm(qc - center);
         if (r < r_in || r >= r_out) continue;
-        b.push_back(qc + cfg.growth * psi, (cfg.velocity_factor * cfg.growth) * psi,
-                    8 * m, idx(x, y, z) | (std::uint64_t{1} << 63));
+        b.push_back(qc + cfg.growth * psi, cfg.growth * psi, 8 * m,
+                    idx(x, y, z) | (std::uint64_t{1} << 63));
       }
   return b;
 }

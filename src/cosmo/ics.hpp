@@ -24,8 +24,7 @@ namespace hotlib::cosmo {
 struct IcsConfig {
   int grid_n = 32;            // particles-per-side of the FFT grid
   double box_mpc = 100.0;     // periodic box side
-  double growth = 1.0;        // displacement amplitude (linear growth factor D)
-  double velocity_factor = 1.0;  // v = velocity_factor * D * psi (a H f)
+  double growth = 1.0;        // linear growth factor D: x = q + D psi, v = D psi
   std::uint64_t seed = 1997;
   CdmSpectrum spectrum{};
 };

@@ -1,7 +1,6 @@
 #include "cosmo/power_spectrum.hpp"
 
 #include <cmath>
-#include <numbers>
 
 namespace hotlib::cosmo {
 
@@ -18,28 +17,6 @@ double CdmSpectrum::operator()(double k) const {
   if (k <= 0) return 0.0;
   const double t = transfer(k);
   return amplitude * std::pow(k, spectral_index) * t * t;
-}
-
-double CdmSpectrum::sigma_r(double r_mpc) const {
-  // sigma^2 = 1/(2 pi^2) \int P(k) W^2(kR) k^2 dk, top-hat W.
-  auto window = [](double x) {
-    if (x < 1e-4) return 1.0 - x * x / 10.0;
-    return 3.0 * (std::sin(x) - x * std::cos(x)) / (x * x * x);
-  };
-  // Log-spaced trapezoid over k in [1e-4, 1e3].
-  const int n = 4000;
-  const double lk0 = std::log(1e-4), lk1 = std::log(1e3);
-  double sum = 0;
-  double prev = 0;
-  for (int i = 0; i <= n; ++i) {
-    const double lk = lk0 + (lk1 - lk0) * i / n;
-    const double k = std::exp(lk);
-    const double w = window(k * r_mpc);
-    const double f = (*this)(k)*w * w * k * k * k;  // extra k from dlnk measure
-    if (i > 0) sum += 0.5 * (prev + f) * (lk1 - lk0) / n;
-    prev = f;
-  }
-  return std::sqrt(sum / (2.0 * std::numbers::pi * std::numbers::pi));
 }
 
 }  // namespace hotlib::cosmo

@@ -19,10 +19,6 @@ struct CdmSpectrum {
 
   // P(k) = A k^n T(k)^2.
   double operator()(double k) const;
-
-  // sigma at top-hat radius 8 Mpc/h via direct integration (normalization
-  // diagnostic used by the tests).
-  double sigma_r(double r_mpc) const;
 };
 
 }  // namespace hotlib::cosmo

@@ -1,7 +1,6 @@
 #include "cosmo/simulation.hpp"
 
 #include "cosmo/project.hpp"
-#include "gravity/abm_forces.hpp"
 #include "gravity/integrator.hpp"
 
 namespace hotlib::cosmo {
@@ -10,8 +9,7 @@ CosmologySim::CosmologySim(parc::Rank& rank, const SimConfig& cfg)
     : rank_(rank), cfg_(cfg), domain_(ics_domain(cfg.ics)) {
   // Deterministic global ICs; each rank keeps a strided share, the first
   // decomposition sorts everything out.
-  hot::Bodies all = cfg.spherical_region ? make_spherical_ics(cfg.ics)
-                                         : make_grid_ics(cfg.ics);
+  hot::Bodies all = make_spherical_ics(cfg.ics);
   add_hubble_flow(all, Vec3d::all(cfg.ics.box_mpc / 2), cfg.hubble);
   const int p = rank_.size();
   for (std::size_t i = static_cast<std::size_t>(rank_.rank()); i < all.size();
@@ -21,28 +19,12 @@ CosmologySim::CosmologySim(parc::Rank& rank, const SimConfig& cfg)
 
   force_cfg_.mac = cfg.mac;
   force_cfg_.mac.G = cfg.G;
-  force_cfg_.softening = cfg.softening_frac * cfg.ics.box_mpc;
+  force_cfg_.softening = 0.02 * cfg.ics.box_mpc;
   force_cfg_.G = cfg.G;
 }
 
 StepStats CosmologySim::forces_internal() {
-  InteractionTally tally;
-  double imbalance = 1.0;
-  std::size_t let_cells = 0, let_bodies = 0;
-  if (cfg_.use_abm) {
-    const auto result = gravity::abm_tree_forces(rank_, bodies_, domain_, force_cfg_);
-    tally = result.tally;
-    imbalance = result.decomp.imbalance();
-    let_cells = result.traversal.crown_cells;
-    let_bodies = result.traversal.requests_sent;
-  } else {
-    const auto result =
-        gravity::parallel_tree_forces(rank_, bodies_, domain_, force_cfg_);
-    tally = result.tally;
-    imbalance = result.decomp.imbalance();
-    let_cells = result.let_cells;
-    let_bodies = result.let_bodies;
-  }
+  const auto result = gravity::parallel_tree_forces(rank_, bodies_, domain_, force_cfg_);
   StepStats s;
   struct Pack {
     std::uint64_t bb, bc;
@@ -52,16 +34,16 @@ StepStats CosmologySim::forces_internal() {
     }
   };
   const Pack total = rank_.allreduce(
-      Pack{tally.body_body, tally.body_cell, gravity::kinetic_energy(bodies_),
-           gravity::potential_energy(bodies_)},
+      Pack{result.tally.body_body, result.tally.body_cell,
+           gravity::kinetic_energy(bodies_), gravity::potential_energy(bodies_)},
       parc::Sum{});
   s.tally.body_body = total.bb;
   s.tally.body_cell = total.bc;
   s.kinetic = total.ke;
   s.potential = total.pe;
-  s.imbalance = imbalance;
-  s.let_cells = let_cells;
-  s.let_bodies = let_bodies;
+  s.imbalance = result.decomp.imbalance();
+  s.let_cells = result.let_cells;
+  s.let_bodies = result.let_bodies;
   have_forces_ = true;
   return s;
 }

@@ -15,17 +15,15 @@
 
 namespace hotlib::cosmo {
 
+// ICs are the paper's sphere + 8x-mass buffer (make_spherical_ics); forces
+// come from the LET push pipeline (gravity::parallel_tree_forces) with a
+// Plummer softening of 2% of the box side.
 struct SimConfig {
   IcsConfig ics{};
   double hubble = 0.05;            // initial Hubble rate (code units)
   double dt = 0.5;                 // leapfrog step
-  double softening_frac = 0.02;    // softening as fraction of box
   hot::Mac mac{.theta = 0.35};
   double G = 1.0;
-  bool spherical_region = true;    // paper-style sphere+buffer vs full cube
-  // Force pipeline: LET push (default) or the paper's ABM request-driven
-  // traversal (see hot/dtree.hpp and bench_abm for the trade-off).
-  bool use_abm = false;
 };
 
 struct StepStats {

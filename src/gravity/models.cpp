@@ -62,23 +62,6 @@ hot::Bodies two_body_circular(double m1, double m2, double separation) {
   return b;
 }
 
-hot::Bodies plummer_collision(std::size_t n_per_galaxy, std::uint64_t seed,
-                              double separation, double approach_speed) {
-  hot::Bodies a = plummer_sphere(n_per_galaxy, seed);
-  hot::Bodies c = plummer_sphere(n_per_galaxy, seed + 1);
-  hot::Bodies b;
-  const Vec3d offset{separation / 2, 0.3, 0};  // small impact parameter
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    b.push_back(a.pos[i] - offset, a.vel[i] + Vec3d{approach_speed, 0, 0},
-                0.5 * a.mass[i], b.size());
-  }
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    b.push_back(c.pos[i] + offset, c.vel[i] - Vec3d{approach_speed, 0, 0},
-                0.5 * c.mass[i], b.size());
-  }
-  return b;
-}
-
 morton::Domain fit_domain(const hot::Bodies& b, double pad_fraction) {
   return morton::bounding_domain(b.pos.data(), b.size(), pad_fraction);
 }

@@ -21,10 +21,6 @@ hot::Bodies uniform_cube(std::size_t n, std::uint64_t seed, double total_mass = 
 // solution used by the integrator tests.
 hot::Bodies two_body_circular(double m1, double m2, double separation);
 
-// Two Plummer spheres on a collision course (galaxy merger toy problem).
-hot::Bodies plummer_collision(std::size_t n_per_galaxy, std::uint64_t seed,
-                              double separation = 6.0, double approach_speed = 0.3);
-
 // Domain comfortably containing the bodies (cubical, padded).
 morton::Domain fit_domain(const hot::Bodies& b, double pad_fraction = 0.05);
 

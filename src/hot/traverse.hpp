@@ -17,7 +17,7 @@
 //    (build_box_interaction_lists, Salmon's LET push).
 //  * one sink driver (for_each_sink), which runs a per-sink callback —
 //    walk, gather, kernel — over the global task pool. tree_forces,
-//    evaluate_at and both vortex evaluators are callers of it.
+//    evaluate_at and vortex::tree_velocities are its three callers.
 #pragma once
 
 #include <algorithm>

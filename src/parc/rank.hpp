@@ -129,16 +129,6 @@ class Rank {
     return m.as<T>();
   }
 
-  template <class T>
-  std::vector<T> broadcast_vector(std::vector<T> value, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Bytes b = to_bytes(std::span<const T>(value));
-    b = broadcast_bytes(std::move(b), root);
-    Message m;
-    m.payload = std::move(b);
-    return m.as_vector<T>();
-  }
-
   template <class T, class Op>
   T reduce(T value, Op op, int root) {
     // Binomial-tree reduction rooted at `root` (rank relabelling r' = r-root).

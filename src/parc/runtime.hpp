@@ -2,13 +2,11 @@
 //
 // Runtime::run(nranks, body) plays the role of mpirun: it creates the mailbox
 // fabric, launches one std::thread per rank, executes `body(rank)` on each,
-// and propagates the first exception thrown by any rank. run_collect()
-// additionally gathers a per-rank result. The optional NetworkParams engage
-// the virtual-time machine model (see fabric.hpp).
+// and propagates the first exception thrown by any rank. The optional
+// NetworkParams engage the virtual-time machine model (see fabric.hpp).
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "parc/fabric.hpp"
 #include "parc/rank.hpp"
@@ -33,18 +31,6 @@ class Runtime {
   // rank's ABM layer to reliable mode).
   static RunStats run(int nranks, const std::function<void(Rank&)>& body,
                       NetworkParams net = {}, FaultPlan faults = {});
-
-  // As run(), but collects body's return value per rank into `results`.
-  template <class T>
-  static RunStats run_collect(int nranks, const std::function<T(Rank&)>& body,
-                              std::vector<T>& results, NetworkParams net = {},
-                              FaultPlan faults = {}) {
-    results.assign(static_cast<std::size_t>(nranks), T{});
-    return run(
-        nranks,
-        [&](Rank& r) { results[static_cast<std::size_t>(r.rank())] = body(r); }, net,
-        faults);
-  }
 };
 
 }  // namespace hotlib::parc

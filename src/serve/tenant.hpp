@@ -32,8 +32,8 @@ namespace hotlib::serve {
 
 class TenantSession {
  public:
-  // Default depth of the slow-query ring (worst-K requests retained).
-  static constexpr std::size_t kDefaultSlowLogDepth = 8;
+  // Depth of the slow-query ring (worst-K requests retained).
+  static constexpr std::size_t kSlowLogDepth = 8;
 
   void record_query(double latency_us) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -59,18 +59,12 @@ class TenantSession {
 
   // ---- slow-query log ----
 
-  void set_slow_log_depth(std::size_t k) {
-    std::lock_guard<std::mutex> lk(mu_);
-    slow_depth_ = k;
-  }
-
   // Admit one finished request into the worst-K ring. Below capacity every
   // request enters; at capacity the newcomer evicts the current minimum iff
   // it is strictly slower — otherwise the ring is unchanged.
   void record_slow(const SlowQueryRecord& r) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (slow_depth_ == 0) return;
-    if (slow_.size() < slow_depth_) {
+    if (slow_.size() < kSlowLogDepth) {
       slow_.push_back(r);
       return;
     }
@@ -112,7 +106,6 @@ class TenantSession {
   std::uint64_t rejected_ = 0;
   std::uint64_t errors_ = 0;
   std::vector<SlowQueryRecord> slow_;
-  std::size_t slow_depth_ = kDefaultSlowLogDepth;
 };
 
 }  // namespace hotlib::serve

@@ -3,7 +3,7 @@
 //
 // Two layers live here:
 //
-//  1. The paper-accounting primitives (InteractionTally, Throughput,
+//  1. The paper-accounting primitives (InteractionTally,
 //     kFlopsPerGravityInteraction), moved verbatim from util/counters.hpp.
 //     "We keep track of the number of interactions computed": interactions
 //     are tallied where they are evaluated, flops are derived as
@@ -54,15 +54,6 @@ struct InteractionTally {
   friend InteractionTally operator+(InteractionTally a, const InteractionTally& b) {
     return a += b;
   }
-};
-
-// Throughput report helper: interactions & elapsed time -> flops/sec.
-struct Throughput {
-  double flops = 0.0;
-  double seconds = 0.0;
-  double flops_per_second() const { return seconds > 0 ? flops / seconds : 0.0; }
-  double mflops() const { return flops_per_second() / 1e6; }
-  double gflops() const { return flops_per_second() / 1e9; }
 };
 
 }  // namespace hotlib

@@ -100,7 +100,6 @@ class JsonValue {
   explicit JsonValue(Storage v) : v_(std::move(v)) {}
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }
-  bool is_bool() const { return std::holds_alternative<bool>(v_); }
   bool is_number() const { return std::holds_alternative<double>(v_); }
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_array() const { return std::holds_alternative<std::shared_ptr<JsonArray>>(v_); }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 namespace hotlib {
@@ -91,12 +92,20 @@ bool SnapshotReader::read(SnapshotHeader& header, std::vector<std::uint8_t>& pay
   if (header.magic != SnapshotHeader{}.magic) return false;
   if (header.stripe_count == 0 || header.stripe_block == 0) return false;
 
-  payload.assign(header.payload_bytes, 0);
+  // The stripes hold exactly payload_bytes between them; checking that
+  // first keeps a damaged manifest from sizing the allocation.
   std::vector<FilePtr> files;
+  std::uint64_t stored = 0;
   for (std::uint32_t k = 0; k < header.stripe_count; ++k) {
-    files.emplace_back(std::fopen(stripe_path(base_, k).c_str(), "rb"));
+    const std::string path = stripe_path(base_, k);
+    files.emplace_back(std::fopen(path.c_str(), "rb"));
     if (!files.back()) return false;
+    std::error_code ec;
+    stored += std::filesystem::file_size(path, ec);
+    if (ec) return false;
   }
+  if (stored != header.payload_bytes) return false;
+  payload.assign(header.payload_bytes, 0);
   std::uint64_t offset = 0, blockno = 0;
   while (offset < header.payload_bytes) {
     const std::uint64_t n =
@@ -111,13 +120,13 @@ bool SnapshotReader::read(SnapshotHeader& header, std::vector<std::uint8_t>& pay
 
 std::vector<std::uint8_t> pack_doubles(std::span<const double> values) {
   std::vector<std::uint8_t> out(values.size() * sizeof(double));
-  std::memcpy(out.data(), values.data(), out.size());
+  if (!out.empty()) std::memcpy(out.data(), values.data(), out.size());
   return out;
 }
 
 std::vector<double> unpack_doubles(std::span<const std::uint8_t> bytes) {
   std::vector<double> out(bytes.size() / sizeof(double));
-  std::memcpy(out.data(), bytes.data(), out.size() * sizeof(double));
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size() * sizeof(double));
   return out;
 }
 

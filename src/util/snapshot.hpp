@@ -48,7 +48,8 @@ class SnapshotReader {
  public:
   explicit SnapshotReader(std::string base_path);
 
-  // Read and validate; returns false on missing files or checksum mismatch.
+  // Read and validate; returns false on missing files, stripes whose sizes
+  // do not add up to the manifest's payload_bytes, or a checksum mismatch.
   bool read(SnapshotHeader& header, std::vector<std::uint8_t>& payload) const;
 
  private:

@@ -1,12 +1,12 @@
 #include "vortex/vpm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numbers>
 
 #include "gravity/batch.hpp"
 #include "hot/traverse.hpp"
+#include "hot/tree.hpp"
 #include "telemetry/trace.hpp"
 #include "util/task_pool.hpp"
 
@@ -61,6 +61,15 @@ InteractionTally direct_velocities(VortexParticles& p) {
   return tally;
 }
 
+namespace {
+
+// The strength-weighted tree plus per-cell vector monopoles the far field
+// traverses.
+struct VortexTree {
+  hot::Tree tree;
+  std::vector<Vec3d> cell_alpha;  // per-cell summed vector strength
+};
+
 VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size) {
   VortexTree vt;
   const std::size_t n = p.size();
@@ -88,8 +97,6 @@ VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size) {
   });
   return vt;
 }
-
-namespace {
 
 // Bodies and accepted cells share the Biot-Savart kernel, so one batch
 // carries both, sized once: particle sources in slots [0, nb) (list order),
@@ -140,30 +147,6 @@ InteractionTally tree_velocities(VortexParticles& p, const hot::Mac& mac,
           t.body_body += lists.bodies.size();
           t.body_cell += lists.cells.size();
         }
-      });
-}
-
-InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticles& p,
-                                      const hot::Mac& mac, std::span<const Vec3d> points,
-                                      std::span<Vec3d> vel) {
-  assert(points.size() == vel.size());
-  const double sigma2 = p.sigma * p.sigma;
-
-  // One query point start to finish, same determinism contract as a
-  // tree_velocities group: the walk, the gather and the kernel order are
-  // functions of (tree, point) alone and each point writes only its slot.
-  return hot::for_each_sink<gravity::BiotSavartBatch>(
-      points.size(), "vortex_query_walk",
-      [&](std::size_t qi, hot::InteractionLists& lists, gravity::BiotSavartBatch& batch,
-          InteractionTally& t) {
-        hot::build_point_interaction_lists(vt.tree, points[qi], mac, lists, t);
-        gather_biot_savart(vt, p, lists, batch);
-        Vec3d u{}, da{};
-        // Query points carry no strength: alpha_i = 0 kills the stretching term.
-        gravity::batch_biot_savart(batch, points[qi], Vec3d{}, sigma2, u, da);
-        vel[qi] = u;
-        t.body_body += lists.bodies.size();
-        t.body_cell += lists.cells.size();
       });
 }
 

@@ -21,11 +21,9 @@
 // (velocity + full velocity gradient): kFlopsPerVortexInteraction.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "hot/mac.hpp"
-#include "hot/tree.hpp"
 #include "telemetry/counters.hpp"
 #include "util/vec3.hpp"
 
@@ -69,27 +67,6 @@ InteractionTally direct_velocities(VortexParticles& p);
 // theta-based MAC; accuracy against direct_velocities is tested.
 InteractionTally tree_velocities(VortexParticles& p, const hot::Mac& mac,
                                  int bucket_size = 16);
-
-// The strength-weighted tree plus per-cell vector monopoles the far field
-// traverses; factored out of tree_velocities so arbitrary-position velocity
-// queries (the serving layer's vortex point queries) can reuse one build
-// across many evaluations.
-struct VortexTree {
-  hot::Tree tree;
-  std::vector<Vec3d> cell_alpha;  // per-cell summed vector strength
-};
-VortexTree build_vortex_tree(const VortexParticles& p, int bucket_size = 16);
-
-// Velocity induced at arbitrary positions: one degenerate point-sink walk
-// per query (hot::build_point_interaction_lists) against a prebuilt vortex
-// tree. Query points carry no strength, so there is no stretching output.
-// Overwrites `vel`; deterministic at every thread count. Its reference
-// semantics, zero-strength phantom particles appended at `points` and run
-// through tree_velocities, lives with the tests
-// (evaluate_velocity_with_phantoms in tests/test_vortex.cpp).
-InteractionTally evaluate_velocity_at(const VortexTree& vt, const VortexParticles& p,
-                                      const hot::Mac& mac, std::span<const Vec3d> points,
-                                      std::span<Vec3d> vel);
 
 // Midpoint (RK2) convection + stretching step.
 InteractionTally step_rk2(VortexParticles& p, double dt, const hot::Mac& mac);

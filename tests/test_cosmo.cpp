@@ -32,12 +32,6 @@ TEST(CdmSpectrum, PowerTurnsOver) {
   EXPECT_GT(ps(0.05), ps(5.0));
 }
 
-TEST(CdmSpectrum, SigmaRDecreasesWithScale) {
-  CdmSpectrum ps;
-  EXPECT_GT(ps.sigma_r(4.0), ps.sigma_r(8.0));
-  EXPECT_GT(ps.sigma_r(8.0), ps.sigma_r(16.0));
-}
-
 TEST(DisplacementField, DeltaHasZeroMeanAndExpectedVariance) {
   IcsConfig cfg;
   cfg.grid_n = 16;

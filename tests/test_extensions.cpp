@@ -1,13 +1,11 @@
-// Tests for the extension modules: Ewald periodic gravity, Hilbert keys,
-// checkpoint/restart, and the two-point correlation function.
+// Tests for Hilbert keys (bench_keys) and the two-point correlation function
+// (the clustering measure behind Figures 1-2).
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <numbers>
+#include <algorithm>
+#include <cstdlib>
 
-#include "cosmo/checkpoint.hpp"
 #include "cosmo/correlate.hpp"
-#include "gravity/ewald.hpp"
 #include "gravity/models.hpp"
 #include "morton/hilbert.hpp"
 #include "util/rng.hpp"
@@ -15,115 +13,6 @@
 
 namespace hotlib {
 namespace {
-
-// ---- Ewald -----------------------------------------------------------------
-
-TEST(Ewald, CorrectionVanishesAtOriginAndIsAntisymmetric) {
-  gravity::EwaldTable ewald(1.0, 8);
-  EXPECT_NEAR(norm(ewald.exact_correction({0, 0, 0})), 0.0, 1e-10);
-  const Vec3d d{0.21, -0.13, 0.34};
-  const Vec3d c1 = ewald.exact_correction(d);
-  const Vec3d c2 = ewald.exact_correction(-1.0 * d);
-  EXPECT_NEAR(norm(c1 + c2), 0.0, 1e-10);
-}
-
-TEST(Ewald, MatchesBruteForceReplicaSum) {
-  // Correction + bare Newton must approximate the (truncated) lattice sum.
-  gravity::EwaldTable ewald(1.0, 8);
-  Xoshiro256ss rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    Vec3d d{rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45),
-            rng.uniform(-0.45, 0.45)};
-    if (norm(d) < 0.05) continue;  // avoid the singular region for the check
-    // Cube-truncated replica sum. The bare lattice force is conditionally
-    // convergent: a cube-truncated sum equals the Ewald ("tinfoil") value
-    // minus the surface dipole term (4 pi / 3 L^3) d, which we add back.
-    Vec3d brute{};
-    const int c = 6;
-    for (int nx = -c; nx <= c; ++nx)
-      for (int ny = -c; ny <= c; ++ny)
-        for (int nz = -c; nz <= c; ++nz) {
-          const Vec3d r{d.x - nx, d.y - ny, d.z - nz};
-          const double u = norm(r);
-          brute -= r / (u * u * u);
-        }
-    brute += (4.0 * std::numbers::pi / 3.0) * d;  // remove the surface term
-    const Vec3d newton = -1.0 / norm2(d) / norm(d) * d;
-    const Vec3d model = newton + ewald.exact_correction(d);
-    EXPECT_NEAR(norm(model - brute), 0.0, 0.02 * norm(brute) + 0.01)
-        << "d=" << d << " model=" << model << " brute=" << brute;
-  }
-}
-
-TEST(Ewald, InterpolatedTableMatchesExact) {
-  gravity::EwaldTable ewald(2.0, 16);
-  Xoshiro256ss rng(5);
-  RunningStats err, mag;
-  for (int i = 0; i < 200; ++i) {
-    const Vec3d d{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    const Vec3d exact = ewald.exact_correction(d);
-    err.add(norm(ewald.correction(d) - exact));
-    mag.add(norm(exact));
-  }
-  EXPECT_LT(err.rms(), 0.05 * mag.rms() + 1e-6);
-}
-
-TEST(Ewald, MinimumImageWraps) {
-  gravity::EwaldTable ewald(10.0, 4);
-  const Vec3d d = ewald.minimum_image({9.0, -9.0, 4.9});
-  EXPECT_NEAR(d.x, -1.0, 1e-12);
-  EXPECT_NEAR(d.y, 1.0, 1e-12);
-  EXPECT_NEAR(d.z, 4.9, 1e-12);
-}
-
-TEST(Ewald, PeriodicForcesConserveMomentumAndAreTranslationInvariant) {
-  const std::size_t n = 40;
-  auto b = gravity::uniform_cube(n, 11);
-  gravity::EwaldTable ewald(1.0, 8);
-  std::vector<Vec3d> acc(n), acc2(n);
-  std::vector<double> pot(n), pot2(n);
-  gravity::periodic_direct_forces(b.pos, b.mass, ewald, 0.05, 1.0, acc, pot);
-
-  Vec3d f{};
-  for (std::size_t i = 0; i < n; ++i) f += b.mass[i] * acc[i];
-  EXPECT_NEAR(norm(f), 0.0, 1e-8);
-
-  // Shift everything by a lattice-periodic offset: forces unchanged.
-  auto shifted = b;
-  for (auto& x : shifted.pos) {
-    x += Vec3d{0.37, 0.81, 0.15};
-    for (int a = 0; a < 3; ++a) {
-      double& c = x[static_cast<std::size_t>(a)];
-      c -= std::floor(c);
-    }
-  }
-  gravity::periodic_direct_forces(shifted.pos, shifted.mass, ewald, 0.05, 1.0, acc2,
-                                  pot2);
-  RunningStats diff, mag;
-  for (std::size_t i = 0; i < n; ++i) {
-    diff.add(norm(acc[i] - acc2[i]));
-    mag.add(norm(acc[i]));
-  }
-  EXPECT_LT(diff.rms(), 0.03 * mag.rms() + 1e-8);
-}
-
-TEST(Ewald, UniformLatticeFeelsNoNetForce) {
-  // A perfect periodic lattice is an equilibrium of the periodic force.
-  hot::Bodies b;
-  const int m = 4;
-  for (int z = 0; z < m; ++z)
-    for (int y = 0; y < m; ++y)
-      for (int x = 0; x < m; ++x)
-        b.push_back({(x + 0.5) / m, (y + 0.5) / m, (z + 0.5) / m}, {},
-                    1.0 / (m * m * m), b.size());
-  gravity::EwaldTable ewald(1.0, 20);
-  std::vector<Vec3d> acc(b.size());
-  std::vector<double> pot(b.size());
-  gravity::periodic_direct_forces(b.pos, b.mass, ewald, 0.02, 1.0, acc, pot);
-  // The typical single-pair force scale is m/r^2 ~ 0.25; the residual is
-  // table-interpolation noise (largest at half-box separations) far below it.
-  for (const auto& a : acc) EXPECT_LT(norm(a), 1.5e-3);
-}
 
 // ---- Hilbert keys ----------------------------------------------------------
 
@@ -189,43 +78,6 @@ TEST(Hilbert, BetterLocalityThanMorton) {
     return morton::hilbert_from_position(p, dd);
   });
   EXPECT_LT(hilbert_jump, morton_jump);
-}
-
-// ---- checkpoint/restart -----------------------------------------------------
-
-TEST(Checkpoint, RoundTripPreservesFullState) {
-  auto b = gravity::plummer_sphere(500, 21);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b.acc[i] = {0.1 * i, -0.2, 0.3};
-    b.pot[i] = -static_cast<double>(i);
-    b.work[i] = 3.5 + i;
-  }
-  const std::string base =
-      (std::filesystem::temp_directory_path() / "hotlib_ckpt").string();
-  cosmo::CheckpointInfo info{.step = 437, .time = 13.5};
-  ASSERT_TRUE(cosmo::save_checkpoint(base, b, info, 16));
-
-  hot::Bodies r;
-  cosmo::CheckpointInfo back;
-  ASSERT_TRUE(cosmo::load_checkpoint(base, r, back));
-  EXPECT_EQ(back.step, 437u);
-  EXPECT_DOUBLE_EQ(back.time, 13.5);
-  ASSERT_EQ(r.size(), b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    ASSERT_EQ(r.pos[i], b.pos[i]);
-    ASSERT_EQ(r.vel[i], b.vel[i]);
-    ASSERT_EQ(r.acc[i], b.acc[i]);
-    ASSERT_EQ(r.mass[i], b.mass[i]);
-    ASSERT_EQ(r.pot[i], b.pot[i]);
-    ASSERT_EQ(r.work[i], b.work[i]);
-    ASSERT_EQ(r.id[i], b.id[i]);
-  }
-}
-
-TEST(Checkpoint, MissingFileFailsCleanly) {
-  hot::Bodies r;
-  cosmo::CheckpointInfo info;
-  EXPECT_FALSE(cosmo::load_checkpoint("/nonexistent/path/ckpt", r, info));
 }
 
 // ---- correlation function ----------------------------------------------------

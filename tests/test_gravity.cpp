@@ -424,14 +424,6 @@ TEST(Models, TwoBodyCircularHasZeroNetMomentum) {
   EXPECT_NEAR(norm(total_momentum(b)), 0.0, 1e-12);
 }
 
-TEST(Models, PlummerCollisionCountsAndMass) {
-  auto b = plummer_collision(500, 3);
-  EXPECT_EQ(b.size(), 1000u);
-  double m = 0;
-  for (double mi : b.mass) m += mi;
-  EXPECT_NEAR(m, 1.0, 1e-9);
-}
-
 // ---- arbitrary-sink evaluation (the serving layer's query primitive) -------
 
 bool bits_equal(double a, double b) {

@@ -84,16 +84,6 @@ TEST_P(ParcCollectives, Broadcast) {
   });
 }
 
-TEST_P(ParcCollectives, BroadcastVector) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Rank& r) {
-    std::vector<int> v;
-    if (r.rank() == 0) v = {1, 2, 3, 4, 5};
-    v = r.broadcast_vector(v, 0);
-    EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 4, 5}));
-  });
-}
-
 TEST_P(ParcCollectives, AllreduceSumMinMax) {
   const int p = GetParam();
   Runtime::run(p, [&](Rank& r) {
@@ -281,15 +271,15 @@ TEST(ParcNetworkParams, OverheadChargedAtSenderAndReceiver) {
   // receiver ends at depart + latency + o = 2o + L total — the virtual
   // clock realises effective_latency() end to end.
   NetworkParams net{.latency_s = 1e-3, .bandwidth_Bps = 0, .overhead_s = 250e-6};
-  std::vector<double> clocks;
-  Runtime::run_collect<double>(
+  std::vector<double> clocks(2);
+  Runtime::run(
       2,
-      [](Rank& r) {
+      [&](Rank& r) {
         if (r.rank() == 0) r.send_value(1, 3, 1);
         else (void)r.recv(0, 3);
-        return r.vclock();
+        clocks[static_cast<std::size_t>(r.rank())] = r.vclock();
       },
-      clocks, net);
+      net);
   EXPECT_DOUBLE_EQ(clocks[0], 250e-6);
   EXPECT_DOUBLE_EQ(clocks[1], net.effective_latency());
 }
@@ -500,13 +490,6 @@ TEST(ParcRuntime, PropagatesExceptions) {
                               // Other ranks exit without communication.
                             }),
                std::runtime_error);
-}
-
-TEST(ParcRuntime, RunCollectGathersResults) {
-  std::vector<int> results;
-  Runtime::run_collect<int>(5, [](Rank& r) { return r.rank() * r.rank(); }, results);
-  ASSERT_EQ(results.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
 }
 
 TEST(ParcRuntime, RejectsNonPositiveRanks) {

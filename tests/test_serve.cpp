@@ -786,8 +786,8 @@ TEST(TenantSession, FixedMemoryKeepsTailAndMax) {
 }
 
 TEST(TenantSession, SlowRingConvergesOnTrueWorstK) {
+  static_assert(TenantSession::kSlowLogDepth == 8);
   TenantSession s;
-  s.set_slow_log_depth(4);
   const auto rec = [](std::uint64_t id, double us) {
     SlowQueryRecord r;
     r.request_id = id;
@@ -795,25 +795,19 @@ TEST(TenantSession, SlowRingConvergesOnTrueWorstK) {
     return r;
   };
   // Below capacity everything enters, in arrival order.
-  for (double us : {10.0, 40.0, 20.0, 30.0}) s.record_slow(rec(0, us));
+  for (double us : {10.0, 40.0, 20.0, 30.0, 80.0, 60.0, 50.0, 70.0})
+    s.record_slow(rec(0, us));
   // A newcomer slower than the current minimum evicts exactly that minimum…
   s.record_slow(rec(1, 25.0));  // evicts 10
   // …an equal-or-faster one leaves the ring untouched.
   s.record_slow(rec(2, 20.0));
   s.record_slow(rec(3, 5.0));
   const std::vector<SlowQueryRecord> worst = s.slow_queries();
-  ASSERT_EQ(worst.size(), 4u);
-  EXPECT_DOUBLE_EQ(worst[0].total_us, 40.0);  // worst first
-  EXPECT_DOUBLE_EQ(worst[1].total_us, 30.0);
-  EXPECT_DOUBLE_EQ(worst[2].total_us, 25.0);
-  EXPECT_DOUBLE_EQ(worst[3].total_us, 20.0);
-  EXPECT_EQ(worst[2].request_id, 1u);  // the 25 µs newcomer, not the 20 µs one
-
-  // Depth 0 disables the log entirely.
-  TenantSession off;
-  off.set_slow_log_depth(0);
-  off.record_slow(rec(9, 99.0));
-  EXPECT_TRUE(off.slow_queries().empty());
+  ASSERT_EQ(worst.size(), 8u);
+  const double expect[] = {80.0, 70.0, 60.0, 50.0, 40.0, 30.0, 25.0, 20.0};
+  for (std::size_t k = 0; k < 8; ++k)  // worst first
+    EXPECT_DOUBLE_EQ(worst[k].total_us, expect[k]) << k;
+  EXPECT_EQ(worst[6].request_id, 1u);  // the 25 µs newcomer, not the 20 µs one
 }
 
 // ---- live introspection ----------------------------------------------------

@@ -2,6 +2,7 @@
 // stats, table printing, PGM output, and striped snapshot I/O.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -120,12 +121,6 @@ TEST(InteractionTally, FlopAccounting) {
   EXPECT_EQ(u.interactions(), 300u);
 }
 
-TEST(Throughput, Rates) {
-  Throughput t{.flops = 38e9, .seconds = 2.0};
-  EXPECT_DOUBLE_EQ(t.gflops(), 19.0);
-  EXPECT_DOUBLE_EQ(t.mflops(), 19000.0);
-}
-
 TEST(TextTable, FormatsAligned) {
   TextTable t({"Item", "Qty"});
   t.add_row({"CPU", "16"});
@@ -199,6 +194,43 @@ TEST(Snapshot, DetectsTamperedStripe) {
   SnapshotHeader h;
   std::vector<std::uint8_t> back;
   EXPECT_FALSE(SnapshotReader(base).read(h, back));
+}
+
+TEST(Snapshot, CorruptPayloadSizeFailsWithoutThrowing) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "hotlib_snap_size").string();
+  std::vector<double> values(512, 1.25);
+  ASSERT_TRUE(SnapshotWriter(base, 4, 256).write(SnapshotHeader{}, pack_doubles(values)));
+  {
+    // A manifest claiming 2^62 payload bytes must not size the allocation.
+    std::FILE* f = std::fopen((base + ".manifest").c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    std::fseek(f, offsetof(SnapshotHeader, payload_bytes), SEEK_SET);
+    std::fwrite(&huge, sizeof huge, 1, f);
+    std::fclose(f);
+  }
+  SnapshotHeader h;
+  std::vector<std::uint8_t> back;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = SnapshotReader(base).read(h, back));
+  EXPECT_FALSE(ok);
+}
+
+TEST(Snapshot, ZeroBodySnapshotRoundTrips) {
+  // An empty payload: nothing to copy, every stripe file empty.
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "hotlib_snap_empty").string();
+  const std::vector<std::uint8_t> payload = pack_doubles({});
+  EXPECT_TRUE(payload.empty());
+  ASSERT_TRUE(SnapshotWriter(base, 4).write(SnapshotHeader{}, payload));
+  SnapshotHeader h;
+  std::vector<std::uint8_t> back{1, 2, 3};
+  ASSERT_TRUE(SnapshotReader(base).read(h, back));
+  EXPECT_EQ(h.particle_count, 0u);
+  EXPECT_EQ(h.payload_bytes, 0u);
+  EXPECT_TRUE(back.empty());
+  EXPECT_TRUE(unpack_doubles(back).empty());
 }
 
 TEST(Pgm, WritesValidHeaderAndScales) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -193,106 +192,6 @@ TEST(Merge, ConcatenatesSets) {
   const auto m = merge(a, b);
   EXPECT_EQ(m.size(), 40u);
   EXPECT_NEAR(norm(m.total_strength()), 0.0, 1e-12);
-}
-
-// ---- arbitrary-position velocity queries (serving layer) -------------------
-
-// The reference semantics of evaluate_velocity_at: append zero-strength
-// phantom particles at `points`, run tree_velocities over the combined set
-// and copy the phantoms' velocities into `vel`.
-InteractionTally evaluate_velocity_with_phantoms(const VortexParticles& p,
-                                                 const hot::Mac& mac,
-                                                 std::span<const Vec3d> points,
-                                                 std::span<Vec3d> vel) {
-  const std::size_t n = p.size(), m = points.size();
-  VortexParticles all = p;
-  all.resize(n + m);
-  for (std::size_t i = 0; i < m; ++i) {
-    all.pos[n + i] = points[i];
-    all.alpha[n + i] = Vec3d{};  // phantoms carry zero strength
-  }
-  const InteractionTally tally = tree_velocities(all, mac);
-  for (std::size_t i = 0; i < m; ++i) vel[i] = all.vel[n + i];
-  return tally;
-}
-
-TEST(EvaluateVelocity, WithPhantomsBitIdenticalToManualAppend) {
-  // Same pin as test_gravity's evaluate_with_phantoms: the reference must
-  // match literally appending zero-strength particles at the query points and
-  // running the ordinary treecode, bit for bit.
-  const auto p = make_ring(300, 1.0, 2.0, {0, 0, 0}, {0, 0, 1}, 0.15);
-  Xoshiro256ss rng(907);
-  std::vector<Vec3d> pts(24);
-  for (auto& q : pts) q = rng.in_sphere(1.5);
-  const hot::Mac mac{.theta = 0.6};
-
-  VortexParticles manual = p;
-  for (const Vec3d& q : pts) {
-    manual.pos.push_back(q);
-    manual.alpha.push_back({});
-    manual.vel.push_back({});
-    manual.dalpha.push_back({});
-  }
-  tree_velocities(manual, mac);
-
-  std::vector<Vec3d> vel(pts.size());
-  evaluate_velocity_with_phantoms(p, mac, pts, vel);
-
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&vel[i], &manual.vel[p.size() + i], sizeof(Vec3d)), 0)
-        << i;
-  }
-}
-
-TEST(EvaluateVelocity, PointWalkMatchesDirectSummationWithinMacTolerance) {
-  // evaluate_velocity_at walks a prebuilt vortex tree per point; hold it to
-  // the exact regularized Biot-Savart sum at the same positions.
-  const auto p = make_ring(400, 1.0, 2.0, {0, 0, 0}, {0, 0, 1}, 0.2);
-  Xoshiro256ss rng(911);
-  std::vector<Vec3d> pts(20);
-  for (auto& q : pts) q = rng.in_sphere(1.3);
-
-  const VortexTree vt = build_vortex_tree(p);
-  const double sigma2 = p.sigma * p.sigma;
-  std::vector<Vec3d> exact(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      Vec3d u{};
-      vortex_kernel(pts[i], p.pos[j], p.alpha[j], sigma2, u, nullptr, nullptr);
-      exact[i] += u;
-    }
-  }
-  // The vortex far field is monopole-only, so hold the query walk to the
-  // same standard as tree_velocities: a few percent at a production theta
-  // and decreasing as the MAC tightens.
-  const auto rel_err = [&](double theta) {
-    std::vector<Vec3d> vel(pts.size());
-    evaluate_velocity_at(vt, p, hot::Mac{.theta = theta}, pts, vel);
-    double err2 = 0, ref2 = 0;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      err2 += norm2(vel[i] - exact[i]);
-      ref2 += norm2(exact[i]);
-    }
-    return std::sqrt(err2 / ref2);
-  };
-  const double e_loose = rel_err(0.5);
-  const double e_tight = rel_err(0.25);
-  EXPECT_LT(e_loose, 5e-2);
-  EXPECT_LT(e_tight, e_loose);
-  EXPECT_LT(e_tight, 1e-2);
-}
-
-TEST(EvaluateVelocity, OverwritesStaleOutputs) {
-  const auto p = make_ring(200, 1.0, 1.5, {0, 0, 0}, {0, 0, 1}, 0.15);
-  std::vector<Vec3d> pts{{0.5, 0, 0.2}, {-0.3, 0.4, 0}, {0, 0, 1.0}};
-  const VortexTree vt = build_vortex_tree(p);
-  const hot::Mac mac{.theta = 0.6};
-  std::vector<Vec3d> clean(pts.size(), Vec3d{});
-  evaluate_velocity_at(vt, p, mac, pts, clean);
-  std::vector<Vec3d> dirty(pts.size(), Vec3d{1e300, -1e300, 1e300});
-  evaluate_velocity_at(vt, p, mac, pts, dirty);
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    EXPECT_EQ(std::memcmp(&clean[i], &dirty[i], sizeof(Vec3d)), 0) << i;
 }
 
 }  // namespace
