@@ -11,8 +11,10 @@
 // Expected shape: ABM imports far less data (only what each sink group's
 // MAC actually opens) at the cost of request round trips; batching keeps the
 // message count small, so on a high-latency network ABM's modelled comm time
-// stays competitive while its evaluation cost (interactions) is strictly
-// lower than the conservative LET import.
+// stays competitive. ABM evaluates the sequential walk's interactions; LET
+// evaluates more, because each imported multipole was accepted for the
+// receiver's whole domain and acts on every sink there (the imported bodies
+// are walked per sink group, as ABM walks its remote cells).
 #include <cstdio>
 
 #include "gravity/abm_forces.hpp"
@@ -107,8 +109,9 @@ int main() {
   std::printf("\n%s\n", t.to_string().c_str());
   telemetry::sample_now();
   std::printf(
-      "Shape checks: ABM evaluates fewer interactions (no conservative import\n"
-      "applied to every sink) and both keep message counts tiny relative to the\n"
+      "Shape checks: ABM evaluates fewer interactions (LET applies each imported\n"
+      "multipole to every sink of the receiving rank, and walks only the imported\n"
+      "bodies per sink group) and both keep message counts tiny relative to the\n"
       "cell traffic thanks to batching; the LET bytes grow with rank count while\n"
       "ABM traffic tracks what traversals actually open.\n");
   return 0;

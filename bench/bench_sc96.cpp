@@ -8,7 +8,8 @@
 //
 // The harness runs the real parallel treecode benchmark on 2x the rank count
 // of the single-machine run (measuring how doubling ranks changes the LET
-// import volume — the cost of joining machines), then prints the calibrated
+// import volume — the cost of joining machines — and the interactions per
+// particle of the local walk and of the import), then prints the calibrated
 // SC'96 model row and the price/performance arithmetic.
 #include <cstdio>
 
@@ -28,6 +29,7 @@ namespace {
 
 struct Result {
   std::uint64_t interactions = 0;
+  std::uint64_t let_interactions = 0;  // the LET import's share
   std::size_t let_bytes = 0;
   double seconds = 0;
 };
@@ -45,14 +47,19 @@ Result run_benchmark(const hot::Bodies& all, int ranks) {
     const auto fr = gravity::parallel_tree_forces(r, local, domain, cfg);
     struct Agg {
       std::uint64_t ints;
+      std::uint64_t let_ints;
       std::uint64_t bytes;
-      Agg operator+(const Agg& o) const { return {ints + o.ints, bytes + o.bytes}; }
+      Agg operator+(const Agg& o) const {
+        return {ints + o.ints, let_ints + o.let_ints, bytes + o.bytes};
+      }
     };
     const Agg total = r.allreduce(
-        Agg{fr.tally.interactions(), static_cast<std::uint64_t>(fr.let_bytes_sent)},
+        Agg{fr.tally.interactions(), fr.let_tally.interactions(),
+            static_cast<std::uint64_t>(fr.let_bytes_sent)},
         parc::Sum{});
     if (r.rank() == 0) {
       res.interactions = total.ints;
+      res.let_interactions = total.let_ints;
       res.let_bytes = total.bytes;
     }
   });
@@ -67,12 +74,17 @@ int main() {
   std::printf("=== E7: Loki+Hyglac at SC'96 (paper: 2.19 Gflops, $47/Mflop, 21 Gflops/M$) ===\n\n");
 
   const auto all = gravity::plummer_sphere(telemetry::tiny_run() ? 1500 : 16000, 96);
-  TextTable meas({"config", "ranks", "interactions", "LET bytes", "Mflops (host)"});
+  TextTable meas({"config", "ranks", "interactions", "per particle: local walk",
+                  "per particle: LET import", "LET bytes", "Mflops (host)"});
+  const double n = static_cast<double>(all.size());
   for (int ranks : {8, 16}) {
     const Result r = run_benchmark(all, ranks);
     meas.add_row({ranks == 8 ? "one machine" : "joined machines",
                   TextTable::integer(ranks),
                   TextTable::integer(static_cast<long long>(r.interactions)),
+                  TextTable::num(static_cast<double>(r.interactions - r.let_interactions) / n,
+                                 0),
+                  TextTable::num(static_cast<double>(r.let_interactions) / n, 0),
                   TextTable::integer(static_cast<long long>(r.let_bytes)),
                   TextTable::num(38.0 * static_cast<double>(r.interactions) /
                                      r.seconds / 1e6,

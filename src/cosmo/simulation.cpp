@@ -48,8 +48,6 @@ StepStats CosmologySim::forces_internal() {
   return s;
 }
 
-StepStats CosmologySim::compute_forces() { return forces_internal(); }
-
 StepStats CosmologySim::step() {
   if (!have_forces_) forces_internal();
   gravity::kick(bodies_, cfg_.dt / 2);

@@ -46,9 +46,6 @@ class CosmologySim {
   // statistics (identical on every rank).
   StepStats step();
 
-  // Forces only (used by benchmarks that measure a single evaluation).
-  StepStats compute_forces();
-
   const hot::Bodies& local() const { return bodies_; }
   hot::Bodies& local() { return bodies_; }
   const morton::Domain& domain() const { return domain_; }

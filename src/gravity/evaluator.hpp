@@ -29,8 +29,13 @@ InteractionTally tree_forces(const hot::Tree& tree, std::span<const Vec3d> pos,
                              std::span<double> work = {});
 
 // Apply a LET import (remote multipoles + remote direct bodies) to every
-// local body. Import cells were MAC-accepted against this rank's whole
-// domain, so no re-traversal is needed.
+// body of the local tree it was exchanged for (import.sinks, non-null;
+// `pos`/`acc`/`pot`/`work` use the indexing that tree was built from).
+// Import cells were MAC-accepted against this rank's whole domain, so they
+// act on every sink as one shared batch. The imported bodies get a tree of
+// their own, which each sink group walks as tree_forces walks the local
+// tree, with the MAC distance taken to the cube of half-side bmax around the
+// group's com.
 InteractionTally apply_let_import(const hot::LetImport& import,
                                   std::span<const Vec3d> pos, const TreeForceConfig& cfg,
                                   std::span<Vec3d> acc, std::span<double> pot,

@@ -26,8 +26,9 @@ ParallelForceResult parallel_tree_forces(parc::Rank& rank, hot::Bodies& local,
   local.clear_forces();
   result.tally += tree_forces(tree, local.pos, local.mass, cfg, local.acc, local.pot,
                               local.work);
-  result.tally += apply_let_import(import, local.pos, cfg, local.acc, local.pot,
-                                   local.work);
+  result.let_tally = apply_let_import(import, local.pos, cfg, local.acc, local.pot,
+                                      local.work);
+  result.tally += result.let_tally;
   return result;
 }
 

@@ -14,6 +14,7 @@ namespace hotlib::gravity {
 
 struct ParallelForceResult {
   InteractionTally tally;         // this rank's interactions
+  InteractionTally let_tally;     // the share of `tally` from the LET import
   hot::DecomposeStats decomp;     // balance and migration statistics
   std::size_t let_cells = 0;      // imported multipoles
   std::size_t let_bodies = 0;     // imported direct bodies

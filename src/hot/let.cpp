@@ -61,6 +61,7 @@ LetImport exchange_let(parc::Rank& rank, const Tree& local_tree,
 
   LetImport import;
   import.bytes_sent = bytes_sent;
+  import.sinks = &local_tree;
   for (int s = 0; s < p; ++s) {
     if (s == rank.rank()) continue;
     const parc::Bytes& buf = in[static_cast<std::size_t>(s)];

@@ -10,10 +10,12 @@
 // *owner* of the data walks its tree against each remote rank's bounding box
 // and ships what that rank will need, in one all-to-all. Because the MAC is
 // applied against the closest possible sink in the remote box, every shipped
-// multipole is valid for every sink on the receiving rank, so imports can be
-// applied directly without re-traversal. (The request-driven ABM traversal —
-// the paper's latency-hiding alternative — lives in abm_tree.hpp; the two
-// paths are compared by bench_treecode.)
+// multipole is valid for every sink on the receiving rank. The shipped
+// bodies are what the sink nearest the sender needs; the receiver walks a
+// tree of them per sink group (gravity::apply_let_import), so farther sinks
+// take them as multipoles. (The request-driven ABM traversal — the paper's
+// latency-hiding alternative — lives in dtree.hpp; bench_abm compares the
+// two paths.)
 #pragma once
 
 #include <vector>
@@ -52,6 +54,10 @@ struct LetImport {
   std::vector<CellRecord> cells;
   std::vector<SourceRecord> bodies;
   std::size_t bytes_sent = 0;  // this rank's outgoing LET volume
+  // The local tree exchange_let walked: its leaves are the sink groups the
+  // import is applied to. It must outlive the import and not be rebuilt
+  // before the import is applied.
+  const Tree* sinks = nullptr;
 };
 
 // Exchange locally essential data among all ranks. `boxes` are the per-rank

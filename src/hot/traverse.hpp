@@ -17,7 +17,8 @@
 //    (build_box_interaction_lists, Salmon's LET push).
 //  * one sink driver (for_each_sink), which runs a per-sink callback —
 //    walk, gather, kernel — over the global task pool. tree_forces,
-//    evaluate_at and vortex::tree_velocities are its three callers.
+//    apply_let_import (whose groups walk a tree of the imported bodies),
+//    evaluate_at and vortex::tree_velocities are its four callers.
 #pragma once
 
 #include <algorithm>

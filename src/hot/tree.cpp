@@ -104,10 +104,14 @@ void Tree::build(std::span<const Vec3d> pos, std::span<const double> mass,
   // the table is read-only from here until the next build.
   hash_ = KeyHashTable(cells_.size(), [this](std::size_t i) { return cells_[i].key; });
 
-  // Health gauges: resident tree size and hash-table shape of the build this
-  // rank now holds (the sampler snapshots them on the parc tick).
+  publish_gauges();
+}
+
+void Tree::publish_gauges() const {
+  // Resident tree size and hash-table shape of the build this rank holds
+  // (the sampler snapshots them on the parc tick).
   telemetry::gauge_set(telemetry::Gauge::kTreeCells, static_cast<double>(cells_.size()));
-  telemetry::gauge_set(telemetry::Gauge::kTreeBodies, static_cast<double>(n));
+  telemetry::gauge_set(telemetry::Gauge::kTreeBodies, static_cast<double>(order_.size()));
   telemetry::gauge_set(telemetry::Gauge::kHashEntries, static_cast<double>(hash_.size()));
   telemetry::gauge_set(telemetry::Gauge::kHashSlots, static_cast<double>(hash_.capacity()));
   telemetry::gauge_set(telemetry::Gauge::kHashMeanProbe, hash_.mean_probe());

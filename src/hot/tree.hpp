@@ -127,6 +127,11 @@ class Tree {
   // Maximum depth and cell count diagnostics.
   int max_depth() const { return max_depth_; }
 
+  // Set this rank's tree-size and hash-table health gauges from this tree.
+  // build() does; a caller that builds a scratch tree beside the one the
+  // rank holds calls it on the held tree after.
+  void publish_gauges() const;
+
  private:
   // One subtree's descendants in the serial depth-first layout (children of
   // a cell contiguous, then each child's descendants in octant order).

@@ -298,6 +298,21 @@ TEST(TreeForces, InteractionCountFarBelowNSquared) {
   EXPECT_GT(tally.interactions(), static_cast<std::uint64_t>(n));  // sanity
 }
 
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+bool bits_equal(const Vec3d& a, const Vec3d& b) {
+  return bits_equal(a.x, b.x) && bits_equal(a.y, b.y) && bits_equal(a.z, b.z);
+}
+
+template <class T>
+bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!bits_equal(a[i], b[i])) return false;
+  return true;
+}
+
 class ParallelTree : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelTree, MatchesSerialTreecode) {
@@ -364,6 +379,59 @@ TEST(ParallelTree, WorkWeightsAreRefreshed) {
   });
 }
 
+// parallel_tree_forces is its public steps in this order and nothing more:
+// decompose, build, LET exchange, the local walk, then the import walk.
+// perfbench's traced let_step rebuilds the step from these calls and
+// requires the same bits, so fusing or reordering the two walks fails here.
+class ParallelTreeSteps : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelTreeSteps, MatchPipelineBitForBit) {
+  const int p = GetParam();
+  auto all = plummer_sphere(1500, 59);
+  const auto domain = fit_domain(all);
+  const TreeForceConfig cfg{.mac = hot::Mac{.theta = 0.5}, .softening = 0.02};
+  parc::Runtime::run(p, [&](parc::Rank& r) {
+    hot::Bodies local;
+    for (std::size_t i = static_cast<std::size_t>(r.rank()); i < all.size();
+         i += static_cast<std::size_t>(p))
+      local.append_from(all, i);
+    // A first call leaves per-body work weights, so the compared calls
+    // redecompose by work as a stepping run does.
+    parallel_tree_forces(r, local, domain, cfg);
+    hot::Bodies steps = local;
+    const ParallelForceResult res = parallel_tree_forces(r, local, domain, cfg);
+
+    hot::decompose(r, steps, domain);
+    hot::Tree tree;
+    tree.build(steps.pos, steps.mass, domain);
+    const auto boxes = r.allgather(hot::local_aabb(steps));
+    const hot::LetImport import =
+        hot::exchange_let(r, tree, steps.pos, steps.mass, boxes, cfg.mac);
+    steps.clear_forces();
+    const InteractionTally walk =
+        tree_forces(tree, steps.pos, steps.mass, cfg, steps.acc, steps.pot, steps.work);
+    const InteractionTally applied =
+        apply_let_import(import, steps.pos, cfg, steps.acc, steps.pot, steps.work);
+
+    EXPECT_EQ(steps.id, local.id);
+    EXPECT_TRUE(bits_equal(steps.pos, local.pos));
+    EXPECT_TRUE(bits_equal(steps.acc, local.acc));
+    EXPECT_TRUE(bits_equal(steps.pot, local.pot));
+    EXPECT_TRUE(bits_equal(steps.work, local.work));
+    EXPECT_EQ(res.let_cells, import.cells.size());
+    EXPECT_EQ(res.let_bodies, import.bodies.size());
+    const auto same = [](const InteractionTally& a, const InteractionTally& b) {
+      return a.body_body == b.body_body && a.body_cell == b.body_cell &&
+             a.mac_tests == b.mac_tests && a.cells_opened == b.cells_opened;
+    };
+    EXPECT_TRUE(same(res.let_tally, applied));
+    EXPECT_TRUE(same(res.tally, walk + applied));
+    EXPECT_GT(applied.interactions(), 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelTreeSteps, ::testing::Values(2, 4));
+
 TEST(Integrator, TwoBodyCircularOrbitClosesAfterOnePeriod) {
   auto b = two_body_circular(1.0, 1.0, 1.0);
   const double mtot = 2.0;
@@ -425,13 +493,6 @@ TEST(Models, TwoBodyCircularHasZeroNetMomentum) {
 }
 
 // ---- arbitrary-sink evaluation (the serving layer's query primitive) -------
-
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-bool bits_equal(const Vec3d& a, const Vec3d& b) {
-  return bits_equal(a.x, b.x) && bits_equal(a.y, b.y) && bits_equal(a.z, b.z);
-}
 
 // Query points that do not coincide with any source body.
 std::vector<Vec3d> query_points(std::size_t m, std::uint64_t seed) {

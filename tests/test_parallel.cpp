@@ -176,8 +176,9 @@ TEST_F(ParallelDeterminism, DirectForcesSweepBitExact) {
 }
 
 TEST_F(ParallelDeterminism, LetImportApplicationBitExact) {
-  // Fabricated import: the parallel sink loop must reproduce the serial
-  // accumulation exactly (shared read-only batch, disjoint sink chunks).
+  // Fabricated import: the per-sink-group walk of the imported bodies must
+  // reproduce the serial accumulation exactly (shared read-only cell batch,
+  // disjoint sink groups).
   hotlib::hot::Bodies b = hotlib::gravity::plummer_sphere(700, 3);
   hotlib::hot::LetImport import;
   for (std::size_t i = 0; i < 200; ++i) {
@@ -197,10 +198,19 @@ TEST_F(ParallelDeterminism, LetImportApplicationBitExact) {
   cfg.softening = 0.01;
 
   TaskPool::set_global_concurrency(1);
+  hotlib::hot::Tree sinks;
+  sinks.build(b.pos, b.mass, hotlib::gravity::fit_domain(b));
+  import.sinks = &sinks;
   std::vector<Vec3d> ref_acc(b.size(), Vec3d{});
   std::vector<double> ref_pot(b.size(), 0.0), ref_work(b.size(), 0.0);
   const InteractionTally ref = hotlib::gravity::apply_let_import(
       import, b.pos, cfg, ref_acc, ref_pot, ref_work);
+  // Every sink takes every imported cell, some take imported bodies, and no
+  // sink takes all of them: far groups accept a multipole of the import tree.
+  EXPECT_GT(ref.body_body, 0u);
+  EXPECT_GT(ref.body_cell, 0u);
+  EXPECT_LT(ref.interactions(),
+            b.size() * (import.bodies.size() + import.cells.size()));
   for (int t : sweep_threads()) {
     TaskPool::set_global_concurrency(t);
     std::vector<Vec3d> acc(b.size(), Vec3d{});

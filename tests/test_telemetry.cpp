@@ -17,6 +17,7 @@
 
 #include "gravity/evaluator.hpp"
 #include "gravity/models.hpp"
+#include "gravity/parallel.hpp"
 #include "hot/tree.hpp"
 #include "parc/parc.hpp"
 #include "telemetry/telemetry.hpp"
@@ -208,6 +209,26 @@ TEST_F(TelemetryTest, GaugesAreSetAddAndSnapshotted) {
   EXPECT_DOUBLE_EQ(s.gauges[static_cast<std::size_t>(Gauge::kTreeCells)], 132.0);
   EXPECT_DOUBLE_EQ(s.gauges[static_cast<std::size_t>(Gauge::kHashMeanProbe)], 1.25);
   EXPECT_GE(s.wall, 0.0);
+}
+
+TEST_F(TelemetryTest, TreeGaugesDescribeTheLocalTreeAfterALetStep) {
+  // apply_let_import builds a scratch tree over the imported bodies; after
+  // the step the rank's tree gauges still describe the local tree it holds.
+  const hot::Bodies all = gravity::plummer_sphere(2000, 5);
+  const auto domain = gravity::fit_domain(all);
+  parc::Runtime::run(2, [&](parc::Rank& r) {
+    hot::Bodies local;
+    for (std::size_t i = static_cast<std::size_t>(r.rank()); i < all.size(); i += 2)
+      local.append_from(all, i);
+    hot::Tree tree;
+    const auto res =
+        gravity::parallel_tree_forces(r, local, domain, gravity::TreeForceConfig{}, &tree);
+    ASSERT_GT(res.let_bodies, 0u);
+    const RankChannel* ch = channel();
+    ASSERT_NE(ch, nullptr);
+    EXPECT_DOUBLE_EQ(ch->gauge(Gauge::kTreeCells), static_cast<double>(tree.cells().size()));
+    EXPECT_DOUBLE_EQ(ch->gauge(Gauge::kTreeBodies), static_cast<double>(tree.body_count()));
+  });
 }
 
 TEST_F(TelemetryTest, SampleTickFiresOncePerStride) {
