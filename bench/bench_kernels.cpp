@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "gravity/batch.hpp"
 #include "gravity/evaluator.hpp"
@@ -277,7 +278,7 @@ BENCHMARK(BM_TreeForces)
 
 // Expanded BENCHMARK_MAIN() so a telemetry::Session wraps the run (writing
 // BENCH_kernels.json) and HOTLIB_BENCH_TINY can restrict the suite to two
-// fast kernels for the bench-smoke slice.
+// fast kernels, timed briefly, for the perf gate.
 int main(int argc, char** argv) {
   // --print-kernel-path: report the dispatch decision (after HOTLIB_SIMD and
   // CPUID) and exit; update_baselines.sh stamps this into the baselines.
@@ -288,8 +289,13 @@ int main(int argc, char** argv) {
     }
   }
   telemetry::Session session("kernels");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // A tiny run times each kernel for 10 ms instead of the default 0.5 s.
+  std::vector<char*> args(argv, argv + argc);
+  char brief[] = "--benchmark_min_time=0.01";
+  if (telemetry::tiny_run()) args.push_back(brief);
+  argc = static_cast<int>(args.size());
+  benchmark::Initialize(&argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(argc, args.data())) return 1;
   if (telemetry::tiny_run())
     benchmark::RunSpecifiedBenchmarks("BM_KarpRsqrt$|BM_MortonKey$");
   else

@@ -12,14 +12,15 @@
 # UBSan rides on the existing HOTLIB_SANITIZE=address switch through
 # CMAKE_CXX_FLAGS. Leak checking is off: the suite's process-lifetime
 # singletons (the global task pool, the telemetry registry) are reclaimed
-# by exit, not by destructors.
+# by exit, not by destructors. Warnings are errors here too, so a warning
+# that only this build's instrumentation brings out fails the script.
 set -eu
 
 build=${1:-build-ubsan}
 src=$(dirname "$0")/..
 
 cmake -B "$build" -S "$src" \
-  -DHOTLIB_SANITIZE=address \
+  -DHOTLIB_SANITIZE=address -DHOTLIB_WERROR=ON \
   "-DCMAKE_CXX_FLAGS=-fsanitize=undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake --build "$build" -j "$(nproc 2>/dev/null || echo 4)"
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0} \

@@ -72,32 +72,6 @@ DisplacementField make_displacement_field(const IcsConfig& cfg) {
   return field;
 }
 
-hot::Bodies make_grid_ics(const IcsConfig& cfg) {
-  const DisplacementField f = make_displacement_field(cfg);
-  const int n = cfg.grid_n;
-  const double L = cfg.box_mpc;
-  const double h = L / n;
-  const double m = 1.0 / (static_cast<double>(n) * n * n);
-
-  hot::Bodies b;
-  b.pos.reserve(static_cast<std::size_t>(n) * n * n);
-  std::size_t i = 0;
-  for (int z = 0; z < n; ++z)
-    for (int y = 0; y < n; ++y)
-      for (int x = 0; x < n; ++x, ++i) {
-        const Vec3d q{(x + 0.5) * h, (y + 0.5) * h, (z + 0.5) * h};
-        const Vec3d psi{f.psi_x[i], f.psi_y[i], f.psi_z[i]};
-        Vec3d pos = q + cfg.growth * psi;
-        // Periodic wrap into [0, L).
-        for (int ax = 0; ax < 3; ++ax) {
-          double& c = pos[static_cast<std::size_t>(ax)];
-          c = std::fmod(std::fmod(c, L) + L, L);
-        }
-        b.push_back(pos, cfg.growth * psi, m, i);
-      }
-  return b;
-}
-
 hot::Bodies make_spherical_ics(const IcsConfig& cfg, double r_inner_frac,
                                double r_outer_frac) {
   const DisplacementField f = make_displacement_field(cfg);

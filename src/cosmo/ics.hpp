@@ -29,10 +29,6 @@ struct IcsConfig {
   CdmSpectrum spectrum{};
 };
 
-// Full periodic cube of grid_n^3 particles displaced by Zel'dovich.
-// Total mass is 1 (code units).
-hot::Bodies make_grid_ics(const IcsConfig& cfg);
-
 // The paper's spherical-region construction: all high-resolution particles
 // inside radius r_inner (box units, centered), 2x2x2-merged 8x-mass buffer
 // particles between r_inner and r_outer, nothing outside.

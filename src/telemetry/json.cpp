@@ -122,20 +122,20 @@ class Parser {
       case '"': {
         std::string s;
         if (!parse_string(s)) return false;
-        out = JsonValue(JsonValue::Storage(std::move(s)));
+        out.emplace<std::string>(std::move(s));
         return true;
       }
       case 't':
         if (!literal("true")) return false;
-        out = JsonValue(JsonValue::Storage(true));
+        out.emplace<bool>(true);
         return true;
       case 'f':
         if (!literal("false")) return false;
-        out = JsonValue(JsonValue::Storage(false));
+        out.emplace<bool>(false);
         return true;
       case 'n':
         if (!literal("null")) return false;
-        out = JsonValue(JsonValue::Storage(nullptr));
+        out.emplace<std::nullptr_t>();
         return true;
       default: return parse_number(out);
     }
@@ -149,7 +149,7 @@ class Parser {
     if (!eof() && peek() == '}') {
       ++pos_;
       --depth_;
-      out = JsonValue(JsonValue::Storage(std::move(obj)));
+      out.emplace<std::shared_ptr<JsonObject>>(std::move(obj));
       return true;
     }
     for (;;) {
@@ -190,7 +190,7 @@ class Parser {
       if (peek() == '}') {
         ++pos_;
         --depth_;
-        out = JsonValue(JsonValue::Storage(std::move(obj)));
+        out.emplace<std::shared_ptr<JsonObject>>(std::move(obj));
         return true;
       }
       fail("expected ',' or '}' in object");
@@ -206,7 +206,7 @@ class Parser {
     if (!eof() && peek() == ']') {
       ++pos_;
       --depth_;
-      out = JsonValue(JsonValue::Storage(std::move(arr)));
+      out.emplace<std::shared_ptr<JsonArray>>(std::move(arr));
       return true;
     }
     for (;;) {
@@ -226,7 +226,7 @@ class Parser {
       if (peek() == ']') {
         ++pos_;
         --depth_;
-        out = JsonValue(JsonValue::Storage(std::move(arr)));
+        out.emplace<std::shared_ptr<JsonArray>>(std::move(arr));
         return true;
       }
       fail("expected ',' or ']' in array");
@@ -345,7 +345,7 @@ class Parser {
       while (!eof() && is_digit(peek())) ++pos_;
     }
     const std::string token(text_.substr(start, pos_ - start));
-    out = JsonValue(JsonValue::Storage(std::strtod(token.c_str(), nullptr)));
+    out.emplace<double>(std::strtod(token.c_str(), nullptr));
     return true;
   }
 

@@ -1,8 +1,8 @@
 // json.hpp — minimal JSON writer and strict validating parser.
 //
 // The exporters (report.hpp) need a correct writer with full string
-// escaping and shortest-round-trip number formatting; the test suite, the
-// bench-smoke checker and hotlib-analyze need a *strict* reader that
+// escaping and shortest-round-trip number formatting; the test suite and
+// hotlib-analyze (the perf gate) need a *strict* reader that
 // rejects anything RFC 8259 rejects (trailing commas, bare values,
 // unescaped control characters) plus duplicate object keys, which the RFC
 // merely discourages but which would corrupt a baseline comparison. No
@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -97,7 +98,14 @@ class JsonValue {
                                std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>;
 
   JsonValue() : v_(nullptr) {}
-  explicit JsonValue(Storage v) : v_(std::move(v)) {}
+
+  // Sets the value in place. The parser builds every value this way:
+  // move-assigning a whole variant trips GCC 12's -Wmaybe-uninitialized in
+  // the ASan + UBSan build (scripts/ubsan.sh).
+  template <class T, class... Args>
+  void emplace(Args&&... args) {
+    v_.template emplace<T>(std::forward<Args>(args)...);
+  }
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }
   bool is_number() const { return std::holds_alternative<double>(v_); }

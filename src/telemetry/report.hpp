@@ -11,7 +11,7 @@
 //    writes as BENCH_<name>.json — per-phase wall/virtual times with
 //    across-rank imbalance, the full counter rollup, interaction/flop
 //    totals and Gflop rates. Schema id "hotlib-run-report-v1"; the
-//    bench-smoke ctest slice validates each file with the strict parser.
+//    perf-gate ctest slice checks each file against the schema.
 //
 // Session is the harness entry point: constructing one resets + enables the
 // registry and attaches the calling thread; destruction (or finish())
@@ -89,8 +89,7 @@ std::string chrome_trace_json();
 bool write_text_file(const std::string& path, const std::string& text);
 
 // True when HOTLIB_BENCH_TINY is set to a non-empty, non-"0" value: bench
-// harnesses shrink to smoke-test problem sizes (the bench-smoke ctest
-// slice).
+// harnesses shrink to tiny problem sizes (the perf-gate ctest slice).
 bool tiny_run();
 
 class Session {

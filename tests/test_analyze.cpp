@@ -1,7 +1,8 @@
-// Tests for tools/analyze: report loading against the strict parser, the
-// percentile helper, and — most importantly — the perf-gate tolerance
-// policy: exact counters fail on any drift, traffic counters get a band,
-// host-timed quantities only need to be finite, and --tol overrides
+// Tests for tools/analyze: report loading against the strict parser and
+// the run-report schema, the percentile helper, and — most importantly —
+// the perf-gate tolerance policy: exact counters fail on any drift, traffic
+// counters get a band, host-timed quantities only need to be finite,
+// registered counters and gauges must all be reported, and --tol overrides
 // rescale individual keys.
 #include <gtest/gtest.h>
 
@@ -11,10 +12,24 @@
 #include <string>
 
 #include "analyze.hpp"
+#include "telemetry/report.hpp"
 
 namespace hotlib::tools {
 namespace {
 
+namespace fs = std::filesystem;
+
+// The smallest document load_report accepts: every top-level total, no
+// phase, and one rank series of one sample with no gauge track.
+constexpr const char* kMinimalDocument =
+    "{\"schema\":\"hotlib-run-report-v1\",\"name\":\"t\",\"nranks\":2,"
+    "\"wall_seconds\":0.5,\"modelled_seconds\":0,\"interactions\":3,"
+    "\"flops\":114,\"gflops_wall\":0,\"counters\":{\"body_body\":3},"
+    "\"metrics\":{},\"phases\":[],\"timeseries\":[{\"rank\":0,"
+    "\"stride_ticks\":1,\"tick\":[0],\"wall_s\":[0],\"virt_s\":[0],"
+    "\"gauges\":{}}]}";
+
+// A report with every registered counter and gauge, as the exporter writes.
 Report make_report() {
   Report r;
   r.name = "unit";
@@ -31,7 +46,10 @@ Report make_report() {
   p.max_rank_wall = 0.02;
   p.mean_rank_wall = 0.0125;
   r.phases.push_back(p);
-  r.counters = {{"body_body", 900.0}, {"messages_sent", 200.0}};
+  for (int i = 0; i < telemetry::kCounterCount; ++i)
+    r.counters[telemetry::counter_name(static_cast<telemetry::Counter>(i))] = 0.0;
+  r.counters["body_body"] = 900.0;
+  r.counters["messages_sent"] = 200.0;
   r.metrics = {{"quality", 1.0}, {"morton_keys_per_s", 1e6}};
   Report::Series s;
   s.rank = 0;
@@ -39,9 +57,45 @@ Report make_report() {
   s.tick = {16, 32};
   s.wall_s = {0.01, 0.02};
   s.virt_s = {0.5, 1.0};
+  for (int i = 0; i < telemetry::kGaugeCount; ++i)
+    s.gauges[telemetry::gauge_name(static_cast<telemetry::Gauge>(i))] = {0, 0};
   s.gauges["tree_cells"] = {10, 20};
   r.timeseries.push_back(s);
   return r;
+}
+
+// A complete document from the run-report exporter: one phase (imbalance
+// 1.5, 3 calls), one rank series of two samples and one metric.
+std::string exported_document() {
+  telemetry::RunReport r;
+  r.name = "unit";
+  r.nranks = 2;
+  r.wall_seconds = 0.5;
+  r.phases.push_back({.name = "traverse", .wall_seconds = 0.625, .virt_seconds = 2.0,
+                      .max_rank_wall = 0.375, .mean_rank_wall = 0.25, .calls = 3});
+  r.timeseries.push_back({.rank = 0, .stride_ticks = 16, .samples = {{}, {.tick = 16}}});
+  r.counters[telemetry::Counter::kBodyBody] = 3;
+  r.metrics["quality"] = 1.0;
+  return telemetry::run_report_json(r);
+}
+
+// `doc` with its first `from` replaced by `to`.
+std::string replaced(std::string doc, const std::string& from, const std::string& to) {
+  const std::size_t at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) doc.replace(at, from.size(), to);
+  return doc;
+}
+
+// load_report on `doc`, written to a temporary file.
+bool load_document(const std::string& doc, Report& out, std::string& err) {
+  const fs::path dir = fs::temp_directory_path() / "hotlib_analyze_schema_test";
+  fs::create_directories(dir);
+  const fs::path file = dir / "r.json";
+  std::ofstream(file) << doc;
+  const bool ok = load_report(file.string(), out, err);
+  fs::remove_all(dir);
+  return ok;
 }
 
 TEST(Analyze, SelfCheckIsClean) {
@@ -172,7 +226,6 @@ TEST(Analyze, RenderersMentionTheImportantNumbers) {
 }
 
 TEST(Analyze, LoadReportRejectsJunkAndWrongSchema) {
-  namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "hotlib_analyze_test";
   fs::create_directories(dir);
   Report out;
@@ -184,10 +237,7 @@ TEST(Analyze, LoadReportRejectsJunkAndWrongSchema) {
   std::ofstream(dir / "other.json") << "{\"schema\":\"something-else\"}";
   EXPECT_FALSE(load_report((dir / "other.json").string(), out, err));
   EXPECT_NE(err.find("hotlib-run-report-v1"), std::string::npos);
-  std::ofstream(dir / "ok.json")
-      << "{\"schema\":\"hotlib-run-report-v1\",\"name\":\"t\",\"nranks\":2,"
-         "\"wall_seconds\":0.5,\"counters\":{\"body_body\":3},"
-         "\"metrics\":{},\"phases\":[],\"timeseries\":[]}";
+  std::ofstream(dir / "ok.json") << kMinimalDocument;
   EXPECT_TRUE(load_report((dir / "ok.json").string(), out, err)) << err;
   EXPECT_EQ(out.name, "t");
   EXPECT_EQ(out.nranks, 2);
@@ -195,15 +245,69 @@ TEST(Analyze, LoadReportRejectsJunkAndWrongSchema) {
   fs::remove_all(dir);
 }
 
+TEST(Analyze, LoadReportEnforcesTheSchema) {
+  const std::string doc = exported_document();
+  Report out;
+  std::string err;
+  ASSERT_TRUE(load_document(doc, out, err)) << err;
+  EXPECT_DOUBLE_EQ(out.phases.at(0).imbalance, 1.5);
+  EXPECT_EQ(out.timeseries.at(0).gauges.size(),
+            static_cast<std::size_t>(telemetry::kGaugeCount));
+
+  // Each broken document names its first fault.
+  const std::pair<std::string, std::string> broken[] = {
+      {replaced(doc, "\"wall_seconds\":0.5,", ""), "wall_seconds"},
+      {replaced(doc, "\"nranks\":2", "\"nranks\":0"), "nranks"},
+      {replaced(doc, "\"imbalance\":1.5", "\"imbalance\":0.5"), "phases[0].imbalance"},
+      {replaced(doc, "\"calls\":3", "\"calls\":0"), "phases[0].calls"},
+      {replaced(doc, "\"metrics\":{\"quality\":1}", "\"metrics\":[1]"), "metrics"},
+      {replaced(doc, "\"body_body\":3", "\"body_body\":\"3\""), "counters.body_body"},
+      {replaced(doc, "\"tree_cells\":[0,0]", "\"tree_cells\":[0]"),
+       "timeseries[0].gauges.tree_cells"},
+      {replaced(doc, "\"wall_s\":[", "\"wall_s\":[0,"), "timeseries[0].wall_s"},
+      {replaced(doc, "\"stride_ticks\":16", "\"stride_ticks\":0"),
+       "timeseries[0].stride_ticks"},
+  };
+  for (const auto& [text, fault] : broken) {
+    EXPECT_FALSE(load_document(text, out, err)) << fault;
+    EXPECT_NE(err.find(fault), std::string::npos) << err;
+  }
+
+  telemetry::RunReport empty;
+  empty.name = "unit";
+  empty.nranks = 1;
+  EXPECT_FALSE(load_document(telemetry::run_report_json(empty), out, err));
+  EXPECT_NE(err.find("timeseries"), std::string::npos) << err;
+}
+
+TEST(Analyze, RegisteredCountersAndGaugesMustBeReported) {
+  // A baseline may predate the newest gauge, but the report under test
+  // must carry every registered counter and gauge track, even where its
+  // baseline lacks one too.
+  Report old = make_report();
+  old.timeseries[0].gauges.erase("pool_lent_seconds");
+  EXPECT_TRUE(check_report(make_report(), old, CheckPolicy{}).ok());
+
+  old.counters.erase("let_bodies_imported");
+  CheckResult res = check_report(old, old, CheckPolicy{});
+  ASSERT_EQ(res.violations.size(), 2u);
+  EXPECT_NE(res.violations[0].find("let_bodies_imported"), std::string::npos);
+  EXPECT_NE(res.violations[1].find("pool_lent_seconds"), std::string::npos);
+
+  Report r = make_report();
+  r.timeseries.push_back(r.timeseries[0]);
+  r.timeseries[1].rank = 1;
+  r.timeseries[1].gauges.erase("tree_cells");
+  res = check_report(r, make_report(), CheckPolicy{});
+  ASSERT_EQ(res.violations.size(), 1u);
+  EXPECT_NE(res.violations[0].find("rank 1"), std::string::npos);
+}
+
 TEST(Analyze, StampInsertsReplacesAndValidates) {
-  namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "hotlib_stamp_test";
   fs::create_directories(dir);
   const std::string path = (dir / "r.json").string();
-  std::ofstream(path)
-      << "{\"schema\":\"hotlib-run-report-v1\",\"name\":\"t\",\"nranks\":1,"
-         "\"counters\":{\"body_body\":3},\"metrics\":{},\"phases\":[],"
-         "\"timeseries\":[]}";
+  std::ofstream(path) << kMinimalDocument;
   Report out;
   std::string err;
 

@@ -3,8 +3,6 @@
 // FoF halo finder, density projection and the end-to-end CosmologySim.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "cosmo/fof.hpp"
 #include "cosmo/ics.hpp"
 #include "cosmo/power_spectrum.hpp"
@@ -73,37 +71,6 @@ TEST(DisplacementField, DivergenceOfPsiIsMinusDelta) {
   EXPECT_LT(ratio_err.rms(), 0.1 * mag.rms());
 }
 
-TEST(GridIcs, CountMassAndBounds) {
-  IcsConfig cfg;
-  cfg.grid_n = 16;
-  const auto b = make_grid_ics(cfg);
-  EXPECT_EQ(b.size(), 16u * 16 * 16);
-  const double total = std::accumulate(b.mass.begin(), b.mass.end(), 0.0);
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  for (const auto& x : b.pos) {
-    EXPECT_GE(x.x, 0.0);
-    EXPECT_LT(x.x, cfg.box_mpc);
-  }
-  const auto domain = ics_domain(cfg);
-  for (const auto& x : b.pos) EXPECT_TRUE(domain.contains(x));
-}
-
-TEST(GridIcs, DisplacementsScaleWithGrowth) {
-  IcsConfig small;
-  small.grid_n = 8;
-  small.growth = 0.1;
-  small.spectrum.amplitude = 20.0;
-  IcsConfig big = small;
-  big.growth = 0.4;
-  const auto a = make_grid_ics(small);
-  const auto b = make_grid_ics(big);
-  // Velocities are proportional to growth x psi: 4x larger.
-  RunningStats va, vb;
-  for (const auto& v : a.vel) va.add(norm(v));
-  for (const auto& v : b.vel) vb.add(norm(v));
-  EXPECT_NEAR(vb.mean() / va.mean(), 4.0, 1e-6);
-}
-
 TEST(SphericalIcs, BufferParticlesAreEightTimesHeavier) {
   IcsConfig cfg;
   cfg.grid_n = 16;
@@ -129,6 +96,33 @@ TEST(SphericalIcs, BufferParticlesAreEightTimesHeavier) {
     else
       EXPECT_LT(r, 0.3 * cfg.box_mpc + undisplaced_ok);
   }
+}
+
+TEST(SphericalIcs, PositionsLieInsideTheDomain) {
+  IcsConfig cfg;
+  cfg.grid_n = 16;
+  const auto b = make_spherical_ics(cfg);
+  ASSERT_GT(b.size(), 0u);
+  const auto domain = ics_domain(cfg);
+  for (const auto& x : b.pos) EXPECT_TRUE(domain.contains(x));
+}
+
+TEST(SphericalIcs, DisplacementsScaleWithGrowth) {
+  IcsConfig small;
+  small.grid_n = 8;
+  small.growth = 0.1;
+  small.spectrum.amplitude = 20.0;
+  IcsConfig big = small;
+  big.growth = 0.4;
+  const auto a = make_spherical_ics(small);
+  const auto b = make_spherical_ics(big);
+  // Growth moves no particle across the lattice cut, and velocities are
+  // proportional to growth x psi: 4x larger.
+  ASSERT_EQ(a.size(), b.size());
+  RunningStats va, vb;
+  for (const auto& v : a.vel) va.add(norm(v));
+  for (const auto& v : b.vel) vb.add(norm(v));
+  EXPECT_NEAR(vb.mean() / va.mean(), 4.0, 1e-6);
 }
 
 TEST(Fof, FindsTwoWellSeparatedClumps) {

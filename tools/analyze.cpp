@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "telemetry/counters.hpp"
 #include "telemetry/json.hpp"
 #include "util/table.hpp"
 
@@ -62,21 +63,60 @@ std::string fmt_pct(double frac) {
   return buf;
 }
 
-double num_or(const telemetry::JsonValue& obj, const char* key, double fallback = 0.0) {
-  const telemetry::JsonValue* v = obj.find(key);
-  return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
-}
-
-bool load_column(const telemetry::JsonValue& obj, const char* key, std::vector<double>& out) {
-  const telemetry::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_array()) return false;
-  out.reserve(v->as_array().size());
-  for (const telemetry::JsonValue& e : v->as_array()) {
-    if (!e.is_number()) return false;
-    out.push_back(e.as_number());
+// Reads a run-report document field by field and keeps the first place
+// where it breaks the schema. After a fault, reads return placeholders, so
+// load_report checks `error` once at the end.
+class SchemaReader {
+ public:
+  // A number, at least `min`.
+  double number(const telemetry::JsonValue* v, const std::string& what,
+                double min = -HUGE_VAL) {
+    if (v == nullptr || !v->is_number())
+      fail(what + ": missing or not a number");
+    else if (v->as_number() < min)
+      fail(what + ": " + fmt(v->as_number()) + " is below " + fmt(min));
+    else
+      return v->as_number();
+    return 0.0;
   }
-  return true;
-}
+
+  std::string name(const telemetry::JsonValue* v, const std::string& what) {
+    if (v != nullptr && v->is_string() && !v->as_string().empty()) return v->as_string();
+    fail(what + ": missing, empty or not a string");
+    return {};
+  }
+
+  const telemetry::JsonArray& array(const telemetry::JsonValue* v, const std::string& what) {
+    static const telemetry::JsonArray kEmpty;
+    if (v != nullptr && v->is_array()) return v->as_array();
+    fail(what + ": missing or not an array");
+    return kEmpty;
+  }
+
+  const telemetry::JsonObject& object(const telemetry::JsonValue* v, const std::string& what) {
+    static const telemetry::JsonObject kEmpty;
+    if (v != nullptr && v->is_object()) return v->as_object();
+    fail(what + ": missing or not an object");
+    return kEmpty;
+  }
+
+  // An array of n numbers: one column of a timeseries.
+  std::vector<double> column(const telemetry::JsonValue* v, const std::string& what,
+                             std::size_t n) {
+    std::vector<double> col;
+    for (const telemetry::JsonValue& e : array(v, what)) col.push_back(number(&e, what));
+    if (col.size() != n)
+      fail(what + ": " + std::to_string(col.size()) + " samples, tick has " +
+           std::to_string(n));
+    return col;
+  }
+
+  void fail(const std::string& what) {
+    if (error.empty()) error = what;
+  }
+
+  std::string error;
+};
 
 }  // namespace
 
@@ -116,64 +156,59 @@ bool load_report(const std::string& path, Report& out, std::string& err) {
     return false;
   }
 
+  // The schema: every field read below is present and in range, and each
+  // rank series' columns have one length.
+  SchemaReader doc;
   out = Report{};
   out.path = path;
-  if (const telemetry::JsonValue* v = root.find("name"); v != nullptr && v->is_string())
-    out.name = v->as_string();
-  out.nranks = static_cast<int>(num_or(root, "nranks"));
-  out.wall_seconds = num_or(root, "wall_seconds");
-  out.modelled_seconds = num_or(root, "modelled_seconds");
-  out.interactions = num_or(root, "interactions");
-  out.flops = num_or(root, "flops");
-  out.gflops_wall = num_or(root, "gflops_wall");
+  out.name = doc.name(root.find("name"), "name");
+  out.nranks = static_cast<int>(doc.number(root.find("nranks"), "nranks", 1));
+  out.wall_seconds = doc.number(root.find("wall_seconds"), "wall_seconds", 0);
+  out.modelled_seconds = doc.number(root.find("modelled_seconds"), "modelled_seconds", 0);
+  out.interactions = doc.number(root.find("interactions"), "interactions", 0);
+  out.flops = doc.number(root.find("flops"), "flops", 0);
+  out.gflops_wall = doc.number(root.find("gflops_wall"), "gflops_wall", 0);
 
-  if (const telemetry::JsonValue* phases = root.find("phases");
-      phases != nullptr && phases->is_array()) {
-    for (const telemetry::JsonValue& p : phases->as_array()) {
-      if (!p.is_object()) continue;
-      Report::Phase ph;
-      if (const telemetry::JsonValue* n = p.find("name"); n != nullptr && n->is_string())
-        ph.name = n->as_string();
-      ph.wall_seconds = num_or(p, "wall_seconds");
-      ph.virt_seconds = num_or(p, "virt_seconds");
-      ph.max_rank_wall = num_or(p, "max_rank_wall");
-      ph.mean_rank_wall = num_or(p, "mean_rank_wall");
-      ph.imbalance = num_or(p, "imbalance", 1.0);
-      ph.calls = num_or(p, "calls");
-      out.phases.push_back(std::move(ph));
-    }
+  for (const telemetry::JsonValue& p : doc.array(root.find("phases"), "phases")) {
+    const std::string at = "phases[" + std::to_string(out.phases.size()) + "]";
+    Report::Phase ph;
+    ph.name = doc.name(p.find("name"), at + ".name");
+    ph.wall_seconds = doc.number(p.find("wall_seconds"), at + ".wall_seconds", 0);
+    ph.virt_seconds = doc.number(p.find("virt_seconds"), at + ".virt_seconds", 0);
+    ph.max_rank_wall = doc.number(p.find("max_rank_wall"), at + ".max_rank_wall", 0);
+    ph.mean_rank_wall = doc.number(p.find("mean_rank_wall"), at + ".mean_rank_wall", 0);
+    // max/mean over ranks; 1e-9 absorbs rounding when every rank is equal.
+    ph.imbalance = doc.number(p.find("imbalance"), at + ".imbalance", 1.0 - 1e-9);
+    ph.calls = doc.number(p.find("calls"), at + ".calls", 1);
+    out.phases.push_back(std::move(ph));
   }
 
-  if (const telemetry::JsonValue* ts = root.find("timeseries");
-      ts != nullptr && ts->is_array()) {
-    for (const telemetry::JsonValue& s : ts->as_array()) {
-      if (!s.is_object()) continue;
-      Report::Series series;
-      series.rank = static_cast<int>(num_or(s, "rank"));
-      series.stride_ticks = num_or(s, "stride_ticks");
-      load_column(s, "tick", series.tick);
-      load_column(s, "wall_s", series.wall_s);
-      load_column(s, "virt_s", series.virt_s);
-      if (const telemetry::JsonValue* g = s.find("gauges"); g != nullptr && g->is_object()) {
-        for (const auto& [key, track] : g->as_object()) {
-          std::vector<double> col;
-          if (track.is_array()) {
-            for (const telemetry::JsonValue& e : track.as_array())
-              if (e.is_number()) col.push_back(e.as_number());
-          }
-          series.gauges.emplace(key, std::move(col));
-        }
-      }
-      out.timeseries.push_back(std::move(series));
-    }
+  for (const telemetry::JsonValue& s : doc.array(root.find("timeseries"), "timeseries")) {
+    const std::string at = "timeseries[" + std::to_string(out.timeseries.size()) + "]";
+    Report::Series series;
+    series.rank = static_cast<int>(doc.number(s.find("rank"), at + ".rank", 0));
+    series.stride_ticks = doc.number(s.find("stride_ticks"), at + ".stride_ticks", 1);
+    const telemetry::JsonValue* tick = s.find("tick");
+    const std::size_t n = tick != nullptr && tick->is_array() ? tick->as_array().size() : 0;
+    if (n == 0) doc.fail(at + ".tick: missing or empty");
+    series.tick = doc.column(tick, at + ".tick", n);
+    series.wall_s = doc.column(s.find("wall_s"), at + ".wall_s", n);
+    series.virt_s = doc.column(s.find("virt_s"), at + ".virt_s", n);
+    for (const auto& [key, track] : doc.object(s.find("gauges"), at + ".gauges"))
+      series.gauges.emplace(key, doc.column(&track, at + ".gauges." + key, n));
+    out.timeseries.push_back(std::move(series));
   }
+  if (out.timeseries.empty()) doc.fail("timeseries: no rank series");
 
-  if (const telemetry::JsonValue* c = root.find("counters"); c != nullptr && c->is_object())
-    for (const auto& [key, v] : c->as_object())
-      if (v.is_number()) out.counters[key] = v.as_number();
-  if (const telemetry::JsonValue* m = root.find("metrics"); m != nullptr && m->is_object())
-    for (const auto& [key, v] : m->as_object())
-      if (v.is_number()) out.metrics[key] = v.as_number();
+  for (const auto& [key, v] : doc.object(root.find("counters"), "counters"))
+    out.counters[key] = doc.number(&v, "counters." + key, 0);
+  for (const auto& [key, v] : doc.object(root.find("metrics"), "metrics"))
+    out.metrics[key] = doc.number(&v, "metrics." + key);
+
+  if (!doc.error.empty()) {
+    err = path + ": " + doc.error;
+    return false;
+  }
   return true;
 }
 
@@ -476,11 +511,27 @@ CheckResult check_report(const Report& r, const Report& base, const CheckPolicy&
     if (base.metrics.find(key) == base.metrics.end())
       c.fail("metrics." + key + ": new metric not in baseline (refresh baselines)");
 
-  // The sampler must have produced a timeseries; its values are workload
-  // shape, not budget, so only presence is gated.
+  // The report under test carries every registered counter and, in each
+  // rank series, one track per registered gauge: the exporter iterates both
+  // enums, so a gap means a name table and its enum diverged. A baseline
+  // may predate the newest ones. Gauge values are workload shape, not
+  // budget, and are not compared.
   ++result.checked;
-  if (base.nranks > 0 && r.timeseries.empty())
-    c.fail("timeseries: baseline run produced health samples, report has none");
+  for (int i = 0; i < telemetry::kCounterCount; ++i) {
+    const std::string key = telemetry::counter_name(static_cast<telemetry::Counter>(i));
+    if (!r.counters.contains(key) && !base.counters.contains(key))
+      c.fail("counters." + key + ": registered counter missing from report");
+  }
+  ++result.checked;
+  for (int i = 0; i < telemetry::kGaugeCount; ++i) {
+    const std::string key = telemetry::gauge_name(static_cast<telemetry::Gauge>(i));
+    for (const Report::Series& s : r.timeseries)
+      if (!s.gauges.contains(key)) {
+        c.fail("timeseries: rank " + std::to_string(s.rank) +
+               " has no track for registered gauge " + key);
+        break;
+      }
+  }
 
   return result;
 }

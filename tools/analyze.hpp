@@ -62,7 +62,12 @@ struct Report {
   double counter(const std::string& name) const;  // 0 when absent
 };
 
-// Strict-parse `path`; on failure returns false and fills `err`.
+// Strict-parse `path` and check the run-report schema: every field a Report
+// holds is present and in range (nranks >= 1, totals and times >= 0, phase
+// calls >= 1 and imbalance >= 1), counters and metrics are objects of
+// numbers, and the timeseries has at least one rank series whose tick,
+// wall_s, virt_s and gauge tracks all have one non-zero length. On failure
+// returns false and fills `err` with the first fault.
 bool load_report(const std::string& path, Report& out, std::string& err);
 
 // Splice a top-level string entry `"key": "value"` into the report at
@@ -99,6 +104,9 @@ struct CheckResult {
   bool ok() const { return violations.empty(); }
 };
 
+// Holds `r` to `base` under `policy`. `r` must also carry every registered
+// counter and, in each rank series, one track per registered gauge; `base`
+// may predate the newest ones.
 CheckResult check_report(const Report& r, const Report& base, const CheckPolicy& policy);
 
 // Percentile over an unsorted sample set (nearest-rank, q in [0,1]).

@@ -3,21 +3,24 @@
 //   hotlib-analyze report FILE...            paper-style tables for each report
 //   hotlib-analyze diff A B                  compare two reports
 //   hotlib-analyze check REPORT BASELINE     gate a report against a baseline
-//   hotlib-analyze gate EXE NAME BASELINE    run a bench harness (tiny sizes,
-//                                            reports into --report-dir), then
-//                                            check it against BASELINE
+//   hotlib-analyze run EXE NAME              run a bench harness at tiny sizes;
+//                                            it must exit 0 and write
+//                                            BENCH_NAME.json into the working
+//                                            directory (a stale one is removed
+//                                            first), for check to read
+//   hotlib-analyze stamp FILE KEY=VALUE      add a provenance stamp
 //
-// check/gate flags (both optional):
+// Every verb that reads a report rejects one that breaks the run-report
+// schema (load_report); check also applies the baseline policy
+// (check_report). Its only flag, optional and repeatable:
 //   --tol=KEY=REL        per-key relative tolerance override, e.g.
 //                        --tol=counters.bytes_sent=0.5 ; REL>0 on an exact
 //                        key loosens it to a band, on a banded key it
 //                        replaces the default relative band
-//   --report-dir=DIR     (gate) where the harness writes reports
 //
 // Exit status: 0 clean, 1 check violations or broken input, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,7 +35,7 @@ int usage() {
                "usage: hotlib-analyze report FILE...\n"
                "       hotlib-analyze diff A B\n"
                "       hotlib-analyze check REPORT BASELINE [--tol=KEY=REL ...]\n"
-               "       hotlib-analyze gate EXE NAME BASELINE [--report-dir=DIR ...]\n"
+               "       hotlib-analyze run EXE NAME\n"
                "       hotlib-analyze stamp FILE KEY=VALUE\n");
   return 2;
 }
@@ -43,38 +46,26 @@ bool parse_double(const char* s, double& out) {
   return end != s && *end == '\0';
 }
 
-// Consumes --flag=value arguments into `policy`; leaves positionals in `pos`.
-bool parse_args(int argc, char** argv, CheckPolicy& policy, std::string& report_dir,
-                std::vector<std::string>& pos) {
+// Consumes --tol=KEY=REL arguments into `policy`; leaves positionals in `pos`.
+bool parse_args(int argc, char** argv, CheckPolicy& policy, std::vector<std::string>& pos) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (!arg.starts_with("--")) {
       pos.push_back(arg);
       continue;
     }
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "hotlib-analyze: %s needs =value\n", arg.c_str());
+    if (!arg.starts_with("--tol=")) {
+      std::fprintf(stderr, "hotlib-analyze: unknown flag %s\n", arg.c_str());
       return false;
     }
-    const std::string flag = arg.substr(0, eq);
-    const std::string val = arg.substr(eq + 1);
-    if (flag == "--tol") {
-      const auto eq2 = val.find('=');
-      double rel = 0.0;
-      if (eq2 == std::string::npos || !parse_double(val.c_str() + eq2 + 1, rel)) {
-        std::fprintf(stderr, "hotlib-analyze: --tol wants KEY=REL, got %s\n", val.c_str());
-        return false;
-      }
-      policy.overrides[val.substr(0, eq2)] = rel;
-      continue;
+    const std::string val = arg.substr(6);
+    const auto eq = val.find('=');
+    double rel = 0.0;
+    if (eq == std::string::npos || !parse_double(val.c_str() + eq + 1, rel)) {
+      std::fprintf(stderr, "hotlib-analyze: --tol wants KEY=REL, got %s\n", val.c_str());
+      return false;
     }
-    if (flag == "--report-dir") {
-      report_dir = val;
-      continue;
-    }
-    std::fprintf(stderr, "hotlib-analyze: unknown flag %s\n", flag.c_str());
-    return false;
+    policy.overrides[val.substr(0, eq)] = rel;
   }
   return true;
 }
@@ -107,9 +98,8 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string mode = argv[1];
   CheckPolicy policy;
-  std::string report_dir = ".";
   std::vector<std::string> pos;
-  if (!parse_args(argc - 2, argv + 2, policy, report_dir, pos)) return 2;
+  if (!parse_args(argc - 2, argv + 2, policy, pos)) return 2;
 
   if (mode == "report") {
     if (pos.empty()) return usage();
@@ -160,23 +150,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (mode == "gate") {
-    if (pos.size() != 3) return usage();
+  if (mode == "run") {
+    if (pos.size() != 2) return usage();
     const std::string& exe = pos[0];
-    const std::string& name = pos[1];
-    const std::string& baseline = pos[2];
-    // Tiny sizes into a private report dir, so a parallel bench-smoke run of
-    // the same harness never races the gate on BENCH_<name>.json.
+    const std::string report = "BENCH_" + pos[1] + ".json";
     setenv("HOTLIB_BENCH_TINY", "1", 1);
-    setenv("HOTLIB_REPORT_DIR", report_dir.c_str(), 1);
-    const std::string report = report_dir + "/BENCH_" + name + ".json";
+    setenv("HOTLIB_REPORT_DIR", ".", 1);
     std::remove(report.c_str());
     const int rc = std::system((exe + " > /dev/null").c_str());
     if (rc != 0) {
       std::fprintf(stderr, "hotlib-analyze: %s exited with status %d\n", exe.c_str(), rc);
       return 1;
     }
-    return run_check(report, baseline, policy);
+    if (std::FILE* f = std::fopen(report.c_str(), "rb")) {
+      std::fclose(f);
+      return 0;
+    }
+    std::fprintf(stderr, "hotlib-analyze: %s wrote no %s\n", exe.c_str(), report.c_str());
+    return 1;
   }
 
   return usage();

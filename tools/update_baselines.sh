@@ -4,12 +4,13 @@
 #   tools/update_baselines.sh [build-dir] [baselines-dir]
 #
 # Runs every bench harness at tiny sizes (HOTLIB_BENCH_TINY=1) and copies the
-# BENCH_<name>.json reports into bench/baselines/. Run this after an
-# *intentional* behaviour change (new counter, different traversal, changed
-# problem sizes), review the diff with
+# BENCH_<name>.json reports into baselines-dir (default bench/baselines/).
+# Run this after an *intentional* behaviour change (new counter, different
+# traversal, changed problem sizes) into a separate dir, review the diff with
 #   build/tools/hotlib-analyze diff bench/baselines/BENCH_x.json new/BENCH_x.json
-# and commit the result. The perf-gate ctest slice holds every future run to
-# these files.
+# and commit only the baselines whose gated values moved: host-timed fields
+# (wall times, the timeseries) differ on every run. The perf-gate ctest
+# slice holds every future run to these files.
 set -eu
 
 build=${1:-build}
@@ -23,7 +24,7 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-names="nsquared treecode loki vortex sc96 npb accuracy comm price abm faults keys scaling serve"
+names="nsquared treecode loki vortex sc96 npb accuracy comm price kernels abm faults keys scaling serve"
 for name in $names; do
   exe="$build/bench/bench_$name"
   if [ ! -x "$exe" ]; then
@@ -31,10 +32,10 @@ for name in $names; do
     exit 2
   fi
   echo "update_baselines: running bench_$name (tiny)"
-  # Baselines are single-threaded by contract: the perf-gate tests pin
-  # HOTLIB_THREADS=1 (bench/CMakeLists.txt) so gate runs match. Exact
-  # counters are thread-count-invariant anyway; the banded ones are recorded
-  # at the thread count they are checked at.
+  # Baselines are recorded single-threaded (stamped threads=1 below); the
+  # perf-gate runs at the host's lane count. Exact counters are
+  # thread-count-invariant, and the banded modelled and traffic quantities
+  # stay inside their bands at other lane counts (bench/CMakeLists.txt).
   HOTLIB_BENCH_TINY=1 HOTLIB_THREADS=1 HOTLIB_REPORT_DIR="$tmp" "$exe" > /dev/null
 done
 
